@@ -50,7 +50,6 @@ from .errors import (
     NotPrimitive,
     ParseError,
     SftGeomError,
-    ToleranceExceeded,
     TooShallow,
     UnknownBuiltin,
     WordTooShort,
@@ -92,7 +91,6 @@ from .sft import (
     CylinderCylinderInstance,
     CylinderGapInstance,
     GapLayout,
-    GapWord,
     MatchingInstance,
     PeriodicOrbit,
     S_SIDE,

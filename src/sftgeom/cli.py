@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .builtins import BUILTIN_NAMES, BUILTIN_TABLES_VERSION, Builtin, builtin
+from .builtins import BUILTIN_NAMES, Builtin, builtin
 from .cocycle import cocycle_gap_rows, constant_pair, pair_from_json, synthesize_ratio
-from .errors import ParseError, SftGeomError, ToleranceExceeded, UnknownBuiltin
+from .errors import ParseError, SftGeomError, UnknownBuiltin
 from .gibbs import GibbsMeasure, measure_scaling, potential_from_json, uniform_potential
 from .realize import (
     additivity_defect,
@@ -42,9 +42,12 @@ from .sft import (
     U_SIDE,
     Seg,
     cyl,
+    deep_extend,
     enumerate_cylinders,
     load_system,
+    opposite,
     periodic_orbits,
+    walk_levels,
 )
 from .solenoid import (
     boundary_rows,
@@ -280,7 +283,10 @@ def _prepare(scn: Scenario) -> _Ctx:
     measure = GibbsMeasure(system, pot)
     side = scn.side if scn.side != "auto" else _auto_side(b, system)
     out = Path(scn.out_dir)
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as e:
+        raise ParseError(f"cannot create output directory {out}: {e}") from None
     return _Ctx(scn, b, system, measure, side, out, version)
 
 
@@ -313,13 +319,12 @@ def _task_gibbs(ctx: _Ctx) -> TaskOutcome:
             total += m
             rows.append((_dotted(w.symbols), n, m))
         worst = max(worst, abs(total - 1.0))
+    back = opposite(side)
     for n in range(max(g.span - 1, 1), nmax):
         for w in enumerate_cylinders(system, n, side):
-            exts = (
-                [(a,) + w.symbols for a in system.predecessors(w.symbols[0])]
-                if side == U_SIDE
-                else [w.symbols + (a,) for a in system.successors(w.symbols[-1])]
-            )
+            # one-step extensions at the pivot end: the opposite side's deep end
+            ends = system.deep_extensions(w.symbols, back)
+            exts = [deep_extend(w.symbols, a, back) for a in ends]
             s = sum(measure_scaling(g, system.word(e, side)) for e in exts)
             worst = max(worst, abs(s - 1.0))
     return _emit(ctx, "gibbs", ("word", "depth", "measure"), rows, worst)
@@ -396,32 +401,20 @@ def _task_synthesize(ctx: _Ctx) -> TaskOutcome:
         pressure = 0.0
     synth = synthesize_ratio(ctx.measure, pair, delta, pressure, scn.depth)
     tt = lengths_from_ratio(synth)
-    layout = ctx.system.layout(ctx.side)
     rows = []
     worst = 0.0
-    for n in range(scn.depth + 1):
-        mothers = (
-            [()]
-            if n == 0
-            else [w.symbols for w in enumerate_cylinders(ctx.system, n, ctx.side)]
-        )
-        for m in mothers:
-            if n < scn.depth:
-                worst = max(worst, abs(synth.children_sum(m) - 1.0))
+    # Rows of one depth: each cylinder, then the gaps among its children.
+    for n, level in enumerate(walk_levels(ctx.system.layout(ctx.side), scn.depth + 1)):
+        for m, kids in level:
             if n > 0:
-                seg = cyl(m)
-                rows.append((_descriptor(seg), synth.ratio_of(seg), tt.length_of(seg), n))
-            if n < scn.depth:
-                for child in layout.ordered_children(m):
-                    if child.kind == "gap":
-                        rows.append(
-                            (
-                                _descriptor(child),
-                                synth.ratio_of(child),
-                                tt.length_of(child),
-                                n + 1,
-                            )
-                        )
+                rows.append((_dotted(m), synth.ratio_of(cyl(m)), tt.lengths[m], n))
+            if n == scn.depth:
+                continue
+            worst = max(worst, abs(sum(synth.ratio_of(c) for c in kids) - 1.0))
+            for c in kids:
+                if c.is_gap:
+                    length = tt.gap_lengths[(c.word, c.ordinal)]
+                    rows.append((_descriptor(c), synth.ratio_of(c), length, n + 1))
     return _emit(
         ctx, "synthesize", ("descriptor", "ratio", "length", "depth"), rows, worst
     )
@@ -538,10 +531,6 @@ def run(scn: Scenario) -> int:
             outcomes.append(TaskOutcome(task, "parse-error", None, None, str(e)))
             parse_failed = True
             break
-        except ToleranceExceeded as e:
-            outcomes.append(
-                TaskOutcome(task, "tolerance-exceeded", None, None, str(e))
-            )
         except SftGeomError as e:
             print(f"{task}: {e}", file=_stdsys.stderr)
             outcomes.append(TaskOutcome(task, "inadmissible", None, None, str(e)))

@@ -25,12 +25,12 @@ from .errors import (
     NotInDomain,
 )
 from .gibbs import GibbsMeasure
+from .realize import RatioTable
 from .sft import (
     SIDES,
     U_SIDE,
     BoundaryData,
     Seg,
-    SftSystem,
     Symbols,
     Word,
     cyl,
@@ -38,6 +38,7 @@ from .sft import (
     deep_window_of,
     drop_deep,
     enumerate_cylinders,
+    walk_levels,
 )
 
 # A synthesized child mass this close to (or past) the full unit interval
@@ -65,18 +66,6 @@ def _with_pivot(syms: Symbols, symbol: int, side: str) -> Symbols:
     if side == U_SIDE:
         return (symbol,) + syms[1:]
     return syms[:-1] + (symbol,)
-
-
-def _child_symbols(sys: SftSystem, m: Symbols, side: str) -> tuple[int, ...]:
-    if not m:
-        return tuple(range(sys.k))
-    return sys.successors(m[-1]) if side == U_SIDE else sys.predecessors(m[0])
-
-
-def _mothers_at(sys: SftSystem, n: int, side: str) -> list[Symbols]:
-    if n == 0:
-        return [()]
-    return [w.symbols for w in enumerate_cylinders(sys, n, side)]
 
 
 def _word_str(syms: Symbols) -> str:
@@ -283,54 +272,21 @@ def validate_cocycle(
     top = max(cocycle.depth, g.span - 1, 1)
     worst = math.inf
     for n in range(top + 1):
-        for m in _mothers_at(sys, n, side):
+        mothers = [w.symbols for w in enumerate_cylinders(sys, n, side)] if n else [()]
+        for m in mothers:
             nu_m = 1.0 if not m else g.measure(m)
             if nu_m <= 0.0:
                 continue
             mass = 0.0
-            for c in _child_symbols(sys, m, side):
+            for c in sys.deep_extensions(m, side):
                 child = deep_extend(m, c, side)
                 mass += cocycle.factor(child) * (g.measure(child) / nu_m) ** inv * boost
             worst = min(worst, 1.0 - mass)
     return (worst > MIN_MASS_MARGIN, worst)
 
 
-@dataclass(frozen=True)
-class SynthesizedRatio:
-    """Child ratios produced by a cocycle-gap pair over a measure.
-
-    `ratios` maps every child descriptor (cylinder or gap) with mother
-    depth below `depth` to its length ratio relative to the mother.
-    Deeper descriptors are served through deep-end window truncation at
-    `window_depth`, past which the ratios are window-determined.
-    """
-
-    sys: SftSystem
-    side: str
-    delta: float
-    pressure: float
-    depth: int
-    window_depth: int
-    margin: float
-    ratios: Mapping[Seg, float]
-
-    def _stabilized(self, seg: Seg) -> Seg:
-        cap = self.window_depth - 1 if seg.is_gap else self.window_depth
-        if len(seg.word) <= cap:
-            return seg
-        return Seg(seg.kind, deep_window_of(seg.word, cap, self.side), seg.ordinal)
-
-    def ratio_of(self, seg: Seg) -> float:
-        hit = self.ratios.get(seg)
-        if hit is None:
-            hit = self.ratios.get(self._stabilized(seg))
-        if hit is None:
-            raise MissingPairValue(f"no synthesized ratio for {seg}")
-        return hit
-
-    def children_sum(self, m: Symbols) -> float:
-        layout = self.sys.layout(self.side)
-        return sum(self.ratio_of(s) for s in layout.ordered_children(tuple(m)))
+# Old name of the synthesized table; perfbench/tracer.py counts ratio_of calls through it.
+SynthesizedRatio = RatioTable
 
 
 def _window_depth(pair: CocycleGapPair, g: GibbsMeasure) -> int:
@@ -343,7 +299,7 @@ def synthesize_ratio(
     delta: float,
     pressure: float,
     depth: int,
-) -> SynthesizedRatio:
+) -> RatioTable:
     """Build the ratio function determined by (pair, measure, delta, pressure).
 
     Cylinder children take factor(C) * (nu(C)/nu(W))^(1/delta) *
@@ -351,6 +307,10 @@ def synthesize_ratio(
     is split among its gaps in proportion to the gap ratio function.  The
     target side must have gap room, and the cylinder mass must stay below
     one everywhere, otherwise the data admits no gap realization.
+
+    Past the window depth the ratios are window-determined, so the table
+    stores only the children of mothers shallower than it; `depth` is the
+    default depth of the table's realization.
     """
     sys, side = g.sys, pair.side
     if not sys.has_layout(side) or not sys.layout(side).has_gaps:
@@ -368,14 +328,14 @@ def synthesize_ratio(
     inv = 1.0 / delta
     boost = math.exp(pressure / delta)
     ratios: dict[Seg, float] = {}
-    for n in range(depth):
-        for m in _mothers_at(sys, n, side):
+    for level in walk_levels(layout, wd):
+        for m, kids in level:
             nu_m = 1.0 if not m else g.measure(m)
             if nu_m <= 0.0:
                 continue
             mass = 0.0
             gaps: list[Seg] = []
-            for seg in layout.ordered_children(m):
+            for seg in kids:
                 if seg.is_gap:
                     gaps.append(seg)
                     continue
@@ -397,15 +357,15 @@ def synthesize_ratio(
             total = sum(weights)
             for seg, w in zip(gaps, weights):
                 ratios[seg] = left * w / total
-    return SynthesizedRatio(
+    return RatioTable(
         sys=sys,
         side=side,
+        window_depth=wd,
+        ratios=ratios,
         delta=delta,
         pressure=pressure,
         depth=depth,
-        window_depth=wd,
         margin=margin,
-        ratios=ratios,
     )
 
 

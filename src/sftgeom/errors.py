@@ -82,7 +82,3 @@ class ParseError(SftGeomError):
 
 class UnknownBuiltin(SftGeomError):
     """The requested builtin scenario name does not exist."""
-
-
-class ToleranceExceeded(SftGeomError):
-    """A residual-based check exceeded its configured tolerance."""

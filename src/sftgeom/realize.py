@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     GapOnDualSide,
     MismatchedSystems,
+    MissingPairValue,
     NegativeGap,
     NoRoot,
     NotInDomain,
@@ -39,6 +40,8 @@ from .sft import (
     enumerate_cylinders,
     opposite,
     periodic_orbits,
+    stabilized,
+    walk_levels,
 )
 
 # Bisection controls for the dimension equation.
@@ -49,31 +52,34 @@ DIM_DELTA_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class RatioTable:
-    """A hand-filled ratio source: child descriptors to length ratios.
+    """The window table of a ratio source: child descriptors to length ratios.
 
-    Descriptors deeper than `window_depth` (one less for gap mothers) are
-    served through deep-end window truncation, so a self-similar family
-    needs only its shallow table.
+    `ratios` holds the descriptors whose mother is shallower than
+    `window_depth`; deeper descriptors are served through deep-end window
+    truncation (see sft.stabilized), so a self-similar family needs only
+    its shallow table.  A synthesized table also records the exponent,
+    pressure constant and admissibility margin it was built with, and the
+    default `depth` of its realization.
     """
 
     sys: SftSystem
     side: str
     window_depth: int
     ratios: Mapping[Seg, float]
-
-    def _stabilized(self, seg: Seg) -> Seg:
-        cap = self.window_depth - 1 if seg.is_gap else self.window_depth
-        if len(seg.word) <= cap:
-            return seg
-        return Seg(seg.kind, deep_window_of(seg.word, cap, self.side), seg.ordinal)
+    delta: Optional[float] = None
+    pressure: Optional[float] = None
+    depth: Optional[int] = None
+    margin: Optional[float] = None
 
     def ratio_of(self, seg: Seg) -> float:
-        hit = self.ratios.get(seg)
+        hit = self.ratios.get(stabilized(seg, self.window_depth, self.side))
         if hit is None:
-            hit = self.ratios.get(self._stabilized(seg))
-        if hit is None:
-            raise NotInDomain(f"no ratio stored for {seg}")
+            raise MissingPairValue(f"no ratio stored for {seg}")
         return hit
+
+    def children_sum(self, m: Symbols) -> float:
+        layout = self.sys.layout(self.side)
+        return sum(self.ratio_of(s) for s in layout.ordered_children(tuple(m)))
 
 
 def _ratio_source(x):
@@ -126,31 +132,29 @@ def lengths_from_ratio(
     pressure: Optional[float] = None,
     depth: Optional[int] = None,
 ) -> TrainTrackRealization:
-    """Telescope a ratio source into a length table from a unit root.
+    """Telescope a ratio table into a length table from a unit root.
 
-    `delta`, `pressure` and `depth` default to the source's own attributes
-    (a synthesized ratio carries all three).
+    `delta`, `pressure` and `depth` default to the table's own fields
+    (a synthesized table carries all three).
     """
     sys, side = ratio.sys, ratio.side
     if not sys.has_layout(side):
         raise NotInDomain(f"no layout recorded for the {side!r} side")
     layout = sys.layout(side)
     if delta is None:
-        delta = getattr(ratio, "delta", None)
+        delta = ratio.delta
     if pressure is None:
-        pressure = getattr(ratio, "pressure", None)
+        pressure = ratio.pressure
     if delta is None or pressure is None:
         raise ValueError("delta and pressure are needed when the source has none")
     if depth is None:
-        depth = getattr(ratio, "depth", ratio.window_depth + 4)
+        depth = ratio.depth if ratio.depth is not None else ratio.window_depth + 4
     lengths: dict[Symbols, float] = {(): 1.0}
     gap_lengths: dict[tuple[Symbols, int], float] = {}
-    row: list[Symbols] = [()]
-    for _ in range(depth):
-        nxt: list[Symbols] = []
-        for m in row:
+    for level in walk_levels(layout, depth):
+        for m, kids in level:
             base = lengths[m]
-            for seg in layout.ordered_children(m):
+            for seg in kids:
                 r = ratio.ratio_of(seg)
                 if seg.is_gap:
                     if r < 0.0:
@@ -160,8 +164,6 @@ def lengths_from_ratio(
                     if r < 0.0 or not math.isfinite(r):
                         raise ValueError(f"bad cylinder ratio {r!r} at {seg.word}")
                     lengths[seg.word] = base * r
-                    nxt.append(seg.word)
-        row = nxt
     return TrainTrackRealization(
         sys=sys,
         side=side,
@@ -177,19 +179,11 @@ def lengths_from_ratio(
 
 def additivity_defect(tt: TrainTrackRealization) -> float:
     """Worst gap between a mother's length and the sum of its children."""
-    layout = tt.sys.layout(tt.side)
     worst = 0.0
-    row: list[Symbols] = [()]
-    for _ in range(tt.depth):
-        nxt: list[Symbols] = []
-        for m in row:
-            total = 0.0
-            for seg in layout.ordered_children(m):
-                total += tt.length_of(seg)
-                if not seg.is_gap:
-                    nxt.append(seg.word)
+    for level in walk_levels(tt.sys.layout(tt.side), tt.depth):
+        for m, kids in level:
+            total = sum(tt.length_of(seg) for seg in kids)
             worst = max(worst, abs(tt.lengths[m] - total))
-        row = nxt
     return worst
 
 
@@ -206,8 +200,7 @@ def pressure_of(x, delta: float) -> float:
     index = {s: i for i, s in enumerate(states)}
     T = np.zeros((len(states), len(states)))
     for i, w in enumerate(states):
-        exts = sys.successors(w[-1]) if side == U_SIDE else sys.predecessors(w[0])
-        for c in exts:
+        for c in sys.deep_extensions(w, side):
             child = deep_extend(w, c, side)
             j = index[deep_window_of(child, wd, side)]
             T[i, j] = src.ratio_of(cyl(child)) ** delta

@@ -93,29 +93,6 @@ class Word:
             raise ValueError("the empty word has no deep symbol")
         return self.symbols[-1] if self.side == U_SIDE else self.symbols[0]
 
-    def deepen(self, symbol: int) -> "Word":
-        """Extend by one symbol at the deep end."""
-        if self.side == U_SIDE:
-            return Word(self.symbols + (symbol,), self.side)
-        return Word((symbol,) + self.symbols, self.side)
-
-    def deep_window(self, depth: int) -> Symbols:
-        """The deepest `depth` symbols, keeping chronological order."""
-        if depth <= 0:
-            return ()
-        if self.side == U_SIDE:
-            return self.symbols[-depth:]
-        return self.symbols[:depth]
-
-
-@dataclass(frozen=True, order=True)
-class GapWord:
-    """A gap named by its mother word and position among that mother's gaps."""
-
-    mother_symbols: Symbols
-    ordinal: int
-    side: str
-
 
 @dataclass(frozen=True, order=True)
 class Seg:
@@ -146,6 +123,18 @@ def gap(mother: Sequence[int], ordinal: int = 0) -> Seg:
     return Seg("gap", tuple(mother), ordinal)
 
 
+def stabilized(seg: Seg, depth: int, side: str) -> Seg:
+    """Truncate a descriptor to its window at stabilization depth `depth`.
+
+    A cylinder keeps its `depth` deepest symbols; a gap, named by its
+    mother, keeps `depth - 1` of the mother's.
+    """
+    cap = depth - 1 if seg.is_gap else depth
+    if len(seg.word) <= cap:
+        return seg
+    return Seg(seg.kind, deep_window_of(seg.word, cap, side), seg.ordinal)
+
+
 # Layout entries: ("cyl", symbol) for a cylinder child, ("gap",) for a gap.
 LayoutEntry = tuple
 CYL_ENTRY = "cyl"
@@ -166,26 +155,14 @@ class GapLayout:
     side: str
     entries: Mapping[Optional[int], tuple[LayoutEntry, ...]]
 
-    def entry_list(self, key: Optional[int]) -> tuple[LayoutEntry, ...]:
-        return self.entries[key]
-
-    def key_for(self, word: Symbols) -> Optional[int]:
-        if not word:
-            return None
-        return word[-1] if self.side == U_SIDE else word[0]
-
-    def child_word(self, word: Symbols, symbol: int) -> Symbols:
-        if self.side == U_SIDE:
-            return word + (symbol,)
-        return (symbol,) + word
-
     def ordered_children(self, word: Symbols) -> list[Seg]:
         """Children of `word` in geometric order, gaps included."""
+        key = (word[-1] if self.side == U_SIDE else word[0]) if word else None
         out: list[Seg] = []
         n_gap = 0
-        for entry in self.entries[self.key_for(word)]:
+        for entry in self.entries[key]:
             if entry[0] == CYL_ENTRY:
-                out.append(Seg("cyl", self.child_word(word, entry[1])))
+                out.append(Seg("cyl", deep_extend(word, entry[1], self.side)))
             else:
                 out.append(Seg("gap", word, n_gap))
                 n_gap += 1
@@ -195,7 +172,7 @@ class GapLayout:
         return [s.word for s in self.ordered_children(word) if not s.is_gap]
 
     def gap_count(self, word: Symbols) -> int:
-        return sum(1 for e in self.entries[self.key_for(word)] if e[0] == GAP_ENTRY)
+        return sum(1 for s in self.ordered_children(word) if s.is_gap)
 
     @property
     def has_gaps(self) -> bool:
@@ -357,13 +334,13 @@ class SftSystem:
             raise ValueError(f"inadmissible word {syms}")
         return Word(syms, side)
 
-    def deep_extensions(self, word: Word) -> list[int]:
-        """Symbols that may extend `word` at its deep end."""
-        if not word.symbols:
-            return list(range(self.k))
-        if word.side == U_SIDE:
-            return list(self._succ[word.symbols[-1]])
-        return list(self._pred[word.symbols[0]])
+    def deep_extensions(self, symbols: Symbols, side: str) -> tuple[int, ...]:
+        """Symbols that may extend a `side` word at its deep end."""
+        if not symbols:
+            return tuple(range(self.k))
+        if side == U_SIDE:
+            return self._succ[symbols[-1]]
+        return self._pred[symbols[0]]
 
     def layout(self, side: str) -> GapLayout:
         try:
@@ -471,7 +448,9 @@ def build_sft(
                 raise ValueError("transition matrix entries must be 0 or 1")
     exponent = _primitivity_exponent(k, matrix)
     sys = SftSystem(k, matrix, exponent, layouts, boundary)
-    for layout in sys.layouts.values():
+    for key, layout in sys.layouts.items():
+        if layout.side != key:
+            raise ValueError(f"layout stored under key {key!r} is for side {layout.side!r}")
         _validate_layout(sys, layout)
     if boundary is not None:
         _validate_boundary(sys, boundary)
@@ -496,6 +475,23 @@ def enumerate_cylinders(sys: SftSystem, n: int, side: str) -> list[Word]:
         grow((a,))
     words.sort()
     return [Word(w, side) for w in words]
+
+
+def walk_levels(
+    layout: GapLayout, depth: int
+) -> Iterator[list[tuple[Symbols, list[Seg]]]]:
+    """The tree of `layout`, one level at a time, down to mothers of depth
+    `depth - 1`.
+
+    Each level is the list of (mother, ordered children) pairs for the
+    mothers of one depth, in lexicographic order (the order of
+    enumerate_cylinders).  Only the current level is held.
+    """
+    row: list[Symbols] = [()]
+    for _ in range(depth):
+        level = [(m, layout.ordered_children(m)) for m in row]
+        yield level
+        row = sorted(c.word for _, kids in level for c in kids if not c.is_gap)
 
 
 def mother(w: Word, i: int = 1) -> Word:
@@ -552,13 +548,13 @@ def periodic_orbits(sys: SftSystem, p_max: int) -> list[PeriodicOrbit]:
 # ----------------------------------------------------------------------
 # JSON serialization of systems (bit-exact round trip)
 
-def _seg_to_json(seg: Seg) -> list:
+def seg_to_json(seg: Seg) -> list:
     if seg.is_gap:
         return ["gap", list(seg.word), seg.ordinal]
     return ["cyl", list(seg.word)]
 
 
-def _seg_from_json(obj: Sequence) -> Seg:
+def seg_from_json(obj: Sequence) -> Seg:
     if obj[0] == "gap":
         return Seg("gap", tuple(obj[1]), int(obj[2]))
     return Seg("cyl", tuple(obj[1]))
@@ -589,9 +585,9 @@ def _boundary_to_json(data: BoundaryData) -> dict:
             {
                 "id": i.ident,
                 "side": i.side,
-                "left": _seg_to_json(i.left),
-                "right": _seg_to_json(i.right),
-                "chain": [_seg_to_json(s) for s in i.chain],
+                "left": seg_to_json(i.left),
+                "right": seg_to_json(i.right),
+                "chain": [seg_to_json(s) for s in i.chain],
                 "split": i.split,
             }
             for i in data.matching_instances
@@ -600,9 +596,9 @@ def _boundary_to_json(data: BoundaryData) -> dict:
             {
                 "id": i.ident,
                 "side": i.side,
-                "base": _seg_to_json(i.base),
-                "dec_a": [_seg_to_json(s) for s in i.dec_a],
-                "dec_b": [_seg_to_json(s) for s in i.dec_b],
+                "base": seg_to_json(i.base),
+                "dec_a": [seg_to_json(s) for s in i.dec_a],
+                "dec_b": [seg_to_json(s) for s in i.dec_b],
             }
             for i in data.boundary_instances
         ],
@@ -610,9 +606,9 @@ def _boundary_to_json(data: BoundaryData) -> dict:
             {
                 "id": i.ident,
                 "side": i.side,
-                "cyl": _seg_to_json(i.pair_cyl),
-                "gap": _seg_to_json(i.pair_gap),
-                "segments": [_seg_to_json(s) for s in i.segments],
+                "cyl": seg_to_json(i.pair_cyl),
+                "gap": seg_to_json(i.pair_gap),
+                "segments": [seg_to_json(s) for s in i.segments],
             }
             for i in data.cylindergap_instances
         ],
@@ -648,9 +644,9 @@ def _boundary_from_json(obj: Mapping) -> BoundaryData:
             MatchingInstance(
                 d["id"],
                 d["side"],
-                _seg_from_json(d["left"]),
-                _seg_from_json(d["right"]),
-                tuple(_seg_from_json(s) for s in d["chain"]),
+                seg_from_json(d["left"]),
+                seg_from_json(d["right"]),
+                tuple(seg_from_json(s) for s in d["chain"]),
                 int(d["split"]),
             )
             for d in obj.get("matching", [])
@@ -659,9 +655,9 @@ def _boundary_from_json(obj: Mapping) -> BoundaryData:
             BoundaryInstance(
                 d["id"],
                 d["side"],
-                _seg_from_json(d["base"]),
-                tuple(_seg_from_json(s) for s in d["dec_a"]),
-                tuple(_seg_from_json(s) for s in d["dec_b"]),
+                seg_from_json(d["base"]),
+                tuple(seg_from_json(s) for s in d["dec_a"]),
+                tuple(seg_from_json(s) for s in d["dec_b"]),
             )
             for d in obj.get("boundary", [])
         ),
@@ -669,9 +665,9 @@ def _boundary_from_json(obj: Mapping) -> BoundaryData:
             CylinderGapInstance(
                 d["id"],
                 d["side"],
-                _seg_from_json(d["cyl"]),
-                _seg_from_json(d["gap"]),
-                tuple(_seg_from_json(s) for s in d["segments"]),
+                seg_from_json(d["cyl"]),
+                seg_from_json(d["gap"]),
+                tuple(seg_from_json(s) for s in d["segments"]),
             )
             for d in obj.get("cylindergap", [])
         ),

@@ -10,6 +10,7 @@ side with gaps also price the gaps ("leaf-gap").
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -30,8 +31,13 @@ from .sft import (
     Symbols,
     U_SIDE,
     Word,
+    deep_extend,
+    drop_deep,
     enumerate_cylinders,
     opposite,
+    seg_from_json,
+    seg_to_json,
+    stabilized,
 )
 
 PairKey = tuple[Seg, Seg]
@@ -61,19 +67,12 @@ class SolenoidSpec:
         if self.domain_kind not in ("leaf-leaf", "leaf-gap"):
             raise ValueError(f"unknown domain kind {self.domain_kind!r}")
 
-    def _truncate(self, seg: Seg) -> Seg:
-        cap = self.stabilization if seg.kind == "cyl" else self.stabilization - 1
-        w = seg.word
-        if len(w) > cap:
-            w = w[-cap:] if self.side == U_SIDE else w[:cap]
-            if cap <= 0:
-                w = ()
-            return Seg(seg.kind, w, seg.ordinal)
-        return seg
-
     def sigma(self, a: Seg, b: Seg) -> float:
         """Ratio of segment a to segment b."""
-        key = (self._truncate(a), self._truncate(b))
+        key = (
+            stabilized(a, self.stabilization, self.side),
+            stabilized(b, self.stabilization, self.side),
+        )
         if key[0] == key[1]:
             # Reciprocity forces the diagonal: sigma(a, a)^2 = 1.
             return 1.0
@@ -183,18 +182,6 @@ def _row_neighbour_pairs(layout: GapLayout, depth: int) -> list[PairKey]:
     return list(zip(row, row[1:]))
 
 
-def _agnostic_children(sys: SftSystem, side: str, mw: Symbols) -> list[Seg]:
-    if not mw:
-        syms = range(sys.k)
-    elif side == U_SIDE:
-        syms = sys.successors(mw[-1])
-    else:
-        syms = sys.predecessors(mw[0])
-    if side == U_SIDE:
-        return [Seg("cyl", mw + (a,)) for a in syms]
-    return [Seg("cyl", (a,) + mw) for a in syms]
-
-
 def _agnostic_pairs(sys: SftSystem, side: str, depth: int) -> list[PairKey]:
     out: list[PairKey] = []
     mothers = (
@@ -203,7 +190,7 @@ def _agnostic_pairs(sys: SftSystem, side: str, depth: int) -> list[PairKey]:
         else [w.symbols for w in enumerate_cylinders(sys, depth - 1, side)]
     )
     for mw in mothers:
-        kids = _agnostic_children(sys, side, mw)
+        kids = [Seg("cyl", deep_extend(mw, a, side)) for a in sys.deep_extensions(mw, side)]
         for i in range(len(kids)):
             for j in range(i + 1, len(kids)):
                 out.append((kids[i], kids[j]))
@@ -303,13 +290,8 @@ def measure_solenoid(g: GibbsMeasure, psi: Word, xi: Word, side: str) -> float:
         raise WordTooShort(
             f"solenoid values need words of depth at least {g.span}"
         )
-    if side == U_SIDE:
-        mw, a, b = psi.symbols[:-1], psi.symbols[-1], xi.symbols[-1]
-        same_mother = xi.symbols[:-1] == mw
-    else:
-        mw, a, b = psi.symbols[1:], psi.symbols[0], xi.symbols[0]
-        same_mother = xi.symbols[1:] == mw
-    if not same_mother or a == b:
+    mw = drop_deep(psi.symbols, side)
+    if drop_deep(xi.symbols, side) != mw or psi.deep_symbol == xi.deep_symbol:
         raise NotInDomain("words are not distinct siblings")
     if g.sys.has_layout(side):
         layout = g.sys.layout(side)
@@ -374,8 +356,8 @@ def _up_to_root(spec: SolenoidSpec, layout: GapLayout, seg: Seg) -> float:
     while True:
         if cur.is_gap:
             mw = cur.word
-        elif len(cur.word) >= 1:
-            mw = cur.word[:-1] if spec.side == U_SIDE else cur.word[1:]
+        elif cur.word:
+            mw = drop_deep(cur.word, spec.side)
         else:
             return up
         up *= _mother_over_child(spec, layout, mw, cur)
@@ -555,6 +537,30 @@ def check_cylinder_cylinder(
 # equivalence checks
 
 
+def _mother_chain_levels(layout: GapLayout, steps, depth: int):
+    """Values telescoped down the mother chains of the words of length
+    2..depth, yielded one level ({word: values}) at a time.
+
+    Every value is 1 on the primary cylinders, and a word's value under
+    `step` is step(value of its mother, mother, word segment).  Only two
+    levels are alive at once.
+    """
+    level = {w: (1.0,) * len(steps) for w in layout.cylinder_children(())}
+    for _ in range(depth - 1):
+        level = {
+            c.word: tuple(step(v, m, c) for step, v in zip(steps, vals))
+            for m, vals in level.items()
+            for c in layout.ordered_children(m)
+            if not c.is_gap
+        }
+        yield level
+
+
+def _size_step(spec: SolenoidSpec, layout: GapLayout):
+    """size(word)/size(primary cylinder) from the mother's value."""
+    return lambda v, m, c: v / _mother_over_child(spec, layout, m, c)
+
+
 def bounded_equivalence(
     spec1: SolenoidSpec, spec2: SolenoidSpec, sys: SftSystem, n_max: int
 ) -> tuple[bool, float]:
@@ -568,22 +574,12 @@ def bounded_equivalence(
         raise MismatchedSystems("solenoid specs live on different sides")
     if n_max < 3:
         raise ValueError("need depth at least 3 to see the growth trend")
-
-    def worst_at(i: int) -> float:
-        w = 0.0
-        for word in enumerate_cylinders(sys, i + 1, spec1.side):
-            prim = (
-                Seg("cyl", word.symbols[:1])
-                if spec1.side == U_SIDE
-                else Seg("cyl", word.symbols[-1:])
-            )
-            child = Seg("cyl", word.symbols)
-            s1 = extend_scaling(spec1, sys, child, prim)
-            s2 = extend_scaling(spec2, sys, child, prim)
-            w = max(w, abs(math.log(s1) - math.log(s2)))
-        return w
-
-    per_depth = [worst_at(i) for i in range(1, n_max + 1)]
+    layout = sys.layout(spec1.side)
+    steps = [_size_step(spec, layout) for spec in (spec1, spec2)]
+    per_depth = [
+        max(abs(math.log(s1) - math.log(s2)) for s1, s2 in level.values())
+        for level in _mother_chain_levels(layout, steps, n_max + 1)
+    ]
     c_full = max(per_depth)
     c_earlier = max(per_depth[: n_max - 2])
     return (c_full - c_earlier < 1e-6, c_full)
@@ -599,18 +595,19 @@ def bounded_solenoid_class_check(
     """Worst deviation of delta * log-size from the log of the measure
     ratio function, after removing the pressure drift. Bounded exactly
     when the realization carries the (delta, pressure) Gibbs class."""
+    side = spec.side
+    layout = g.sys.layout(side)
+
+    def rho_step(v: float, m: Symbols, c: Seg) -> float:
+        # extended_scaling against the pivot leaf, one conditional per step
+        if side == U_SIDE:
+            return v * g.append_conditional(m, c.word[-1])
+        return v * g.prepend_conditional(c.word[0], m)
+
+    steps = [_size_step(spec, layout), rho_step]
     worst = 0.0
-    leaf_side = opposite(spec.side)
-    for n in range(2, n_max + 1):
-        for word in enumerate_cylinders(g.sys, n, spec.side):
-            prim = (
-                Seg("cyl", word.symbols[:1])
-                if spec.side == U_SIDE
-                else Seg("cyl", word.symbols[-1:])
-            )
-            s = extend_scaling(spec, g.sys, Seg("cyl", word.symbols), prim)
-            xi = Word((word.pivot,), leaf_side)
-            rho = extended_scaling(g, AdmissiblePair(xi, word))
+    for n, level in enumerate(_mother_chain_levels(layout, steps, n_max), start=2):
+        for s, rho in level.values():
             val = delta * math.log(s) - math.log(rho) - (n - 1) * pressure
             worst = max(worst, abs(val))
     return worst
@@ -621,13 +618,8 @@ def bounded_solenoid_class_check(
 
 
 def solenoid_to_json(spec: SolenoidSpec) -> str:
-    import json
-
-    def seg_enc(s: Seg) -> list:
-        return ["gap", list(s.word), s.ordinal] if s.is_gap else ["cyl", list(s.word)]
-
     rows = [
-        [seg_enc(a), seg_enc(b), v]
+        [seg_to_json(a), seg_to_json(b), v]
         for (a, b), v in sorted(
             spec.values.items(), key=lambda kv: (repr(kv[0][0]), repr(kv[0][1]))
         )
@@ -647,17 +639,9 @@ def solenoid_to_json(spec: SolenoidSpec) -> str:
 
 
 def solenoid_from_json(text: str) -> SolenoidSpec:
-    import json
-
     obj = json.loads(text)
-
-    def seg_dec(row) -> Seg:
-        if row[0] == "gap":
-            return Seg("gap", tuple(row[1]), int(row[2]))
-        return Seg("cyl", tuple(row[1]))
-
     values = {
-        (seg_dec(a), seg_dec(b)): float(v) for a, b, v in obj["values"]
+        (seg_from_json(a), seg_from_json(b)): float(v) for a, b, v in obj["values"]
     }
     return SolenoidSpec(
         side=obj["side"],

@@ -129,6 +129,25 @@ def test_malformed_input_files_exit_2(tmp_path):
     assert run_cli("--system", str(tmp_path / "absent.json"), *args) == 2
 
 
+def test_out_that_cannot_be_created_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run_cli("horseshoe", "gibbs", "--out", str(blocker / "sub")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory")
+    assert "Traceback" not in err
+
+
+def test_layout_under_the_wrong_side_key_exits_2(tmp_path, capsys):
+    obj = json.loads(system_to_json(builtin("da-attractor-toy").sys))
+    obj["layouts"]["u"]["side"] = "s"
+    sys_file = tmp_path / "sys.json"
+    sys_file.write_text(json.dumps(obj))
+    assert run_cli("--system", str(sys_file), "gibbs", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed system file") and "key 'u'" in err
+
+
 def test_source_flag_conflicts(tmp_path):
     sys_file = tmp_path / "sys.json"
     sys_file.write_text(system_to_json(builtin("horseshoe").sys))

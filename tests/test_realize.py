@@ -165,7 +165,7 @@ def test_ratio_table_stabilization():
     rt = thirds_table("u")
     assert rt.ratio_of(cyl((0, 1, 0, 1))) == 1.0 / 3.0
     assert rt.ratio_of(gap((1, 1, 0))) == 1.0 / 3.0
-    with pytest.raises(NotInDomain):
+    with pytest.raises(MissingPairValue):
         rt.ratio_of(gap((1, 1, 0), 1))
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
@@ -19,6 +21,8 @@ from sftgeom.sft import (
     Word,
     build_sft,
     cyl,
+    deep_extend,
+    deep_window_of,
     enumerate_cylinders,
     gap,
     mother,
@@ -89,10 +93,10 @@ def test_pivot_and_deep_end():
     s = Word((0, 1, 1), "s")
     assert u.pivot == 0 and u.deep_symbol == 1
     assert s.pivot == 1 and s.deep_symbol == 0
-    assert u.deepen(0).symbols == (0, 1, 1, 0)
-    assert s.deepen(1).symbols == (1, 0, 1, 1)
-    assert u.deep_window(2) == (1, 1)
-    assert s.deep_window(2) == (0, 1)
+    assert deep_extend(u.symbols, 0, "u") == (0, 1, 1, 0)
+    assert deep_extend(s.symbols, 1, "s") == (1, 0, 1, 1)
+    assert deep_window_of(u.symbols, 2, "u") == (1, 1)
+    assert deep_window_of(s.symbols, 2, "s") == (0, 1)
 
 
 def test_mother_drops_deep_end():
@@ -221,6 +225,16 @@ def test_layout_validation_rejects_bad_tables():
     )
     with pytest.raises(ValueError):
         build_sft(2, GOLDEN, layouts={"u": wrong_symbols})
+
+
+def test_layout_under_the_wrong_side_key_rejected():
+    s_layout = GapLayout("s", dict(MIDDLE_THIRD_U.entries))
+    with pytest.raises(ValueError, match="key 'u'"):
+        build_sft(2, FULL2, layouts={"u": s_layout})
+    obj = json.loads(system_to_json(build_sft(2, FULL2, layouts={"s": s_layout})))
+    obj["layouts"]["u"] = obj["layouts"].pop("s")
+    with pytest.raises(ValueError, match="key 'u'"):
+        system_from_json(json.dumps(obj))
 
 
 def test_boundary_validation():
