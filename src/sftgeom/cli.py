@@ -9,7 +9,7 @@ round trip through text.
 Exit codes: 0 all checks within tolerance, 2 unparseable input or unknown
 builtin, 3 a residual check exceeded its tolerance, 4 structurally
 inadmissible input (no gap layout, empty pair, mismatched sides and the
-like).  Reports for completed tasks are written even when a later task
+like, or a measure whose Perron data cannot be certified).  Reports for completed tasks are written even when a later task
 fails.
 """
 
@@ -271,11 +271,14 @@ def _prepare(scn: Scenario) -> _Ctx:
             system = load_system(scn.source)
         except OSError as e:
             raise ParseError(f"cannot read system file {scn.source}: {e}") from None
-        except (ValueError, KeyError, TypeError) as e:
+        except (ValueError, KeyError, TypeError, SftGeomError) as e:
+            # SftGeomError: not primitive, or inadmissible boundary data
             raise ParseError(f"malformed system file {scn.source}: {e}") from None
         version = "user"
     if scn.potential_path:
-        pot = _load_with(potential_from_json, scn.potential_path, "potential")
+        pot = _load_with(
+            lambda text: potential_from_json(text, system), scn.potential_path, "potential"
+        )
     elif b is not None:
         pot = b.potential
     else:
@@ -520,6 +523,11 @@ def run(scn: Scenario) -> int:
     except (ParseError, UnknownBuiltin) as e:
         print(f"error: {e}", file=_stdsys.stderr)
         return 2
+    except SftGeomError as e:
+        # building the measure, e.g. from a potential whose transfer matrix
+        # has no trustworthy Perron data
+        print(f"error: {e}", file=_stdsys.stderr)
+        return 4
     outcomes: list[TaskOutcome] = []
     parse_failed = False
     saw_inadmissible = False

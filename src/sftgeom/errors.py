@@ -25,7 +25,9 @@ class TooShallow(SftGeomError):
 
 
 class NonConvergentEigensolve(SftGeomError):
-    """Power iteration failed to reach tolerance within the step cap."""
+    """The Perron solve cannot vouch for its answer: the iterate lost
+    positivity, no round settled within the squaring cap, or the error
+    bound (residual over spectral gap) exceeds its tolerance."""
 
 
 class WordTooShort(SftGeomError):

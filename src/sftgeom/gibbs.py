@@ -26,8 +26,21 @@ from .errors import (
 from .sft import S_SIDE, U_SIDE, Seg, SftSystem, Symbols, Word, enumerate_cylinders
 
 POWER_TOL = 1e-14
-POWER_MAX_STEPS = 100_000
+# Power-iteration steps per round; every round that does not settle squares
+# the iterated matrix.  The builtins settle within the first round.
+POWER_ROUND = 64
+# T ** (2 ** 60) is past any gap ratio a float can tell from one.
+POWER_MAX_SQUARINGS = 60
+# Largest error bound a Perron vector may carry, relative to its largest entry.
+PERRON_REL_TOL = 1e-12
+EPS = float(np.finfo(float).eps)
+# Step sizes below this share of the largest entry are rounding noise.
+CONTRACTION_NOISE = 16 * EPS
+CONTRACTION_WINDOW = 8
 RATIONALIZE_DENOMINATOR = 10**6
+# How far a rational candidate for the leading eigenvalue may sit from the
+# float one.
+EXACT_MATCH_TOL = 1e-9
 
 Rational = Union[int, Fraction]
 
@@ -99,35 +112,136 @@ def potential_from_table(
     spans = {len(k) for k in table}
     if len(spans) != 1:
         raise ValueError("potential table keys must all have the same length")
-    span = spans.pop()
-    for w in enumerate_cylinders(sys, span, U_SIDE):
-        if w.symbols not in table:
-            raise ValueError(f"potential table is missing the admissible word {w.symbols}")
     exact = None
     if exact_weights is not None:
         exact = {tuple(k): Fraction(v) for k, v in exact_weights.items()}
-        if set(exact) != set(table):
-            raise ValueError("exact weights must cover exactly the potential table")
-    return Potential(span, table, exact)
+    return _checked_potential(spans.pop(), table, exact, sys)
 
 
-def _pf_vector(T: np.ndarray) -> tuple[float, np.ndarray]:
-    """Leading eigenvalue and positive eigenvector by power iteration."""
+def _checked_potential(
+    span: int,
+    phi: dict[Symbols, float],
+    exact: Optional[dict[Symbols, Fraction]],
+    sys: Optional[SftSystem],
+) -> Potential:
+    """A Potential once its table holds up; ValueError naming the first
+    word that does not.
+
+    Every exp(value) must be a positive finite float; exact weights, when
+    given, must cover the same words and agree with the values within
+    1e-12 relative to log(weight); given a system, every admissible
+    span-word needs a value.
+    """
+    for word, value in phi.items():
+        if not math.isfinite(value):
+            raise ValueError(f"potential value {value!r} for the word {word} is not finite")
+        try:
+            weight = math.exp(value)
+        except OverflowError:
+            raise ValueError(
+                f"potential value {value!r} for the word {word} overflows exp"
+            ) from None
+        if weight == 0.0:
+            raise ValueError(f"potential value {value!r} for the word {word} underflows exp")
+    if exact is not None:
+        if set(exact) != set(phi):
+            odd = sorted(set(exact) ^ set(phi))
+            raise ValueError(
+                f"exact weights must cover exactly the potential table; the word {odd[0]} "
+                "is in only one of them"
+            )
+        for word, w in exact.items():
+            try:
+                log_w = math.log(w)
+            except (OverflowError, ValueError):  # w <= 0, or beyond float range
+                log_w = math.nan
+            if not abs(phi[word] - log_w) <= 1e-12 * abs(log_w):
+                raise ValueError(
+                    f"exact weight {w} for the word {word} disagrees with its value "
+                    f"{phi[word]!r}"
+                )
+    if sys is not None:
+        for w in enumerate_cylinders(sys, span, U_SIDE):
+            if w.symbols not in phi:
+                raise ValueError(f"potential table is missing the admissible word {w.symbols}")
+    return Potential(span, phi, exact)
+
+
+def perron(T: np.ndarray) -> tuple[float, np.ndarray]:
+    """Leading eigenvalue and positive right eigenvector, summing to one, of
+    a primitive nonnegative matrix.
+
+    Power iteration from the uniform vector.  While a round of POWER_ROUND
+    steps does not settle, the iterated matrix is squared, which squares
+    its gap ratio |lambda_2 / lambda_1|, and the iteration goes on from the
+    current vector; a settled vector of a squared matrix is re-read through
+    one product with T.  The error of the result is bounded by its residual
+    divided by the spectral gap 1 - |lambda_2 / lambda_1|, the gap ratio
+    being read off the contraction of successive steps.  A settled vector
+    whose bound exceeds PERRON_REL_TOL times its largest entry is iterated
+    further while its residual is above rounding level; past that, or when
+    no round settles, NonConvergentEigensolve is raised.
+    """
     n = T.shape[0]
     x = np.full(n, 1.0 / n)
-    lam_prev = 0.0
-    for _ in range(POWER_MAX_STEPS):
-        y = T @ x
-        lam = float(y.sum())
-        if not lam > 0:
-            raise NonConvergentEigensolve("transfer matrix iterate lost positivity")
-        y /= lam
-        if np.max(np.abs(y - x)) < POWER_TOL and abs(lam - lam_prev) <= POWER_TOL * lam:
-            return lam, y
-        x, lam_prev = y, lam
+    P = T
+    gap_ratio = 0.0
+    for squarings in range(POWER_MAX_SQUARINGS + 1):
+        steps: list[float] = []
+        lam_prev = 0.0
+        for _ in range(POWER_ROUND):
+            y = P @ x
+            lam = float(y.sum())
+            if not lam > 0:
+                raise NonConvergentEigensolve("transfer matrix iterate lost positivity")
+            y /= lam
+            steps.append(float(abs(y - x).max()))
+            if steps[-1] < POWER_TOL and abs(lam - lam_prev) <= POWER_TOL * lam:
+                gap_ratio = _gap_ratio(steps, float(y.max()), squarings, gap_ratio)
+                residual = steps[-1]
+                if squarings:
+                    x = y
+                    y = T @ x
+                    lam = float(y.sum())
+                    y /= lam
+                    residual = float(abs(y - x).max())
+                top = float(y.max())
+                floor = EPS * top
+                bound = max(residual, floor) / (1.0 - gap_ratio) if gap_ratio < 1.0 else math.inf
+                if bound <= PERRON_REL_TOL * top:
+                    return lam, y
+                if residual <= floor or steps[-1] <= floor:
+                    raise NonConvergentEigensolve(
+                        f"Perron vector error bound {bound:.3g} exceeds {PERRON_REL_TOL:g} "
+                        f"of its largest entry (gap ratio {gap_ratio!r})"
+                    )
+            x, lam_prev = y, lam
+        gap_ratio = _gap_ratio(steps, float(x.max()), squarings, gap_ratio)
+        P = np.einsum("ij,jk->ik", P, P)
+        P /= P.max()
     raise NonConvergentEigensolve(
-        f"power iteration did not settle within {POWER_MAX_STEPS} steps"
+        f"power iteration did not settle after {POWER_MAX_SQUARINGS} squarings"
     )
+
+
+def _gap_ratio(steps: list[float], top: float, squarings: int, previous: float) -> float:
+    """The gap ratio of T read off one round of steps of T ** (2 ** squarings).
+
+    Takes the round's step sizes above rounding level, up to the first one
+    below it, and compares the largest of the last m of them with the
+    largest of the m before (m at most CONTRACTION_WINDOW): their ratio
+    is the contraction of m steps, and the envelope is robust to the
+    oscillation that complex subdominant eigenvalues cause.  A round with
+    fewer than two such steps tells nothing, and `previous` stands.
+    """
+    b = 0
+    while b < len(steps) and steps[b] > CONTRACTION_NOISE * top:
+        b += 1
+    m = min(CONTRACTION_WINDOW, b // 2)
+    if m < 1:
+        return previous
+    shrink = max(steps[b - m : b]) / max(steps[b - 2 * m : b - m])
+    return shrink ** (1.0 / (m * 2**squarings))
 
 
 def _kernel_vector(M: list[list[Fraction]]) -> Optional[list[Fraction]]:
@@ -183,8 +297,8 @@ class GibbsMeasure:
                 T[i, j] = potential.weight_float(full[-potential.span :])
         self._T = T
 
-        lam_r, u = _pf_vector(T)
-        lam_l, v = _pf_vector(T.T)
+        lam_r, u = perron(T)
+        lam_l, v = perron(T.T)
         self.lam = 0.5 * (lam_r + lam_l)
         v = v / float(v @ u)
         self._u = u
@@ -201,6 +315,12 @@ class GibbsMeasure:
     def _try_exact(self):
         W = self.potential.exact_weights
         assert W is not None
+        # With D the lcm of the weights' denominators, D * lam is an algebraic
+        # integer, so a rational lam needs D * lam to be an integer.
+        D = math.lcm(*(w.denominator for w in W.values()))
+        slack = D * EXACT_MATCH_TOL
+        if slack < 0.5 and abs(D * self.lam - round(D * self.lam)) > slack:
+            return None
         nb = len(self._blocks)
         Tx = [[Fraction(0)] * nb for _ in range(nb)]
         for i, b in enumerate(self._blocks):
@@ -218,7 +338,7 @@ class GibbsMeasure:
                 seen.add(cand)
                 candidates.append(cand)
         for lam in candidates:
-            if abs(float(lam) - self.lam) > 1e-9:
+            if abs(float(lam) - self.lam) > EXACT_MATCH_TOL:
                 continue
             M = [
                 [Tx[i][j] - (lam if i == j else 0) for j in range(nb)]
@@ -503,7 +623,9 @@ def potential_to_json(p: Potential) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def potential_from_json(text: str) -> Potential:
+def potential_from_json(text: str, sys: Optional[SftSystem] = None) -> Potential:
+    """Parse a potential file; given a system, also check that it covers
+    every admissible word (see _checked_potential)."""
     import json
 
     obj = json.loads(text)
@@ -521,4 +643,4 @@ def potential_from_json(text: str) -> Potential:
     for k in phi:
         if len(k) != span:
             raise ValueError("potential keys disagree with the stated range")
-    return Potential(span, phi, exact)
+    return _checked_potential(span, phi, exact, sys)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     NoRoot,
     NotInDomain,
 )
-from .gibbs import GibbsMeasure, measure_scaling, _pf_vector
+from .gibbs import GibbsMeasure, measure_scaling, perron
 from .sft import (
     S_SIDE,
     U_SIDE,
@@ -187,6 +187,35 @@ def additivity_defect(tt: TrainTrackRealization) -> float:
     return worst
 
 
+def _pressure_at(src) -> Callable[[float], float]:
+    """The pressure of a ratio source as a function of delta.
+
+    The window-transition pattern and its child ratios are read once; each
+    call raises the ratios to delta on the admissible transitions only, so
+    the zero pattern stays (0 ** 0 is 1).
+    """
+    sys, side, wd = src.sys, src.side, src.window_depth
+    states = [w.symbols for w in enumerate_cylinders(sys, wd, side)]
+    index = {s: i for i, s in enumerate(states)}
+    rows: list[int] = []
+    cols: list[int] = []
+    ratios: list[float] = []
+    for i, w in enumerate(states):
+        for c in sys.deep_extensions(w, side):
+            child = deep_extend(w, c, side)
+            rows.append(i)
+            cols.append(index[deep_window_of(child, wd, side)])
+            ratios.append(src.ratio_of(cyl(child)))
+
+    def pressure(delta: float) -> float:
+        T = np.zeros((len(states), len(states)))
+        T[rows, cols] = [r**delta for r in ratios]
+        lam, _ = perron(T)
+        return math.log(lam)
+
+    return pressure
+
+
 def pressure_of(x, delta: float) -> float:
     """Log spectral radius of the window-transition matrix at exponent delta.
 
@@ -194,18 +223,7 @@ def pressure_of(x, delta: float) -> float:
     the transition weight into the deepened window is the child ratio
     raised to delta.
     """
-    src = _ratio_source(x)
-    sys, side, wd = src.sys, src.side, src.window_depth
-    states = [w.symbols for w in enumerate_cylinders(sys, wd, side)]
-    index = {s: i for i, s in enumerate(states)}
-    T = np.zeros((len(states), len(states)))
-    for i, w in enumerate(states):
-        for c in sys.deep_extensions(w, side):
-            child = deep_extend(w, c, side)
-            j = index[deep_window_of(child, wd, side)]
-            T[i, j] = src.ratio_of(cyl(child)) ** delta
-    lam, _ = _pf_vector(T)
-    return math.log(lam)
+    return _pressure_at(_ratio_source(x))(delta)
 
 
 class DimensionReport(NamedTuple):
@@ -221,25 +239,25 @@ def dimension_report(x) -> DimensionReport:
     keeps the pressure non-negative (the side fills its interval); raises
     NoRoot when the pressure is already negative at the floor exponent.
     """
-    src = _ratio_source(x)
+    pressure = _pressure_at(_ratio_source(x))
     hi = 1.0
-    if pressure_of(src, hi) >= 0.0:
-        return DimensionReport(1.0, abs(pressure_of(src, 1.0)), 0)
+    if pressure(hi) >= 0.0:
+        return DimensionReport(1.0, abs(pressure(1.0)), 0)
     lo = DIM_DELTA_FLOOR
-    if pressure_of(src, lo) <= 0.0:
+    if pressure(lo) <= 0.0:
         raise NoRoot(f"pressure is negative down to delta = {lo}")
     steps = 0
     for _ in range(DIM_MAX_STEPS):
         steps += 1
         mid = 0.5 * (lo + hi)
-        if pressure_of(src, mid) > 0.0:
+        if pressure(mid) > 0.0:
             lo = mid
         else:
             hi = mid
         if hi - lo < DIM_DELTA_TOL:
             break
     delta = 0.5 * (lo + hi)
-    return DimensionReport(delta, abs(pressure_of(src, delta)), steps)
+    return DimensionReport(delta, abs(pressure(delta)), steps)
 
 
 def hausdorff_dimension(x) -> float:

@@ -148,6 +148,17 @@ def test_layout_under_the_wrong_side_key_exits_2(tmp_path, capsys):
     assert err.startswith("error: malformed system file") and "key 'u'" in err
 
 
+def test_non_primitive_system_file_exits_2(tmp_path, capsys):
+    obj = json.loads(system_to_json(builtin("horseshoe").sys))
+    obj["matrix"] = [[0, 1], [1, 0]]
+    obj["layouts"] = {}
+    sys_file = tmp_path / "sys.json"
+    sys_file.write_text(json.dumps(obj))
+    assert run_cli("--system", str(sys_file), "gibbs", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed system file") and "positive" in err
+
+
 def test_source_flag_conflicts(tmp_path):
     sys_file = tmp_path / "sys.json"
     sys_file.write_text(system_to_json(builtin("horseshoe").sys))
@@ -277,3 +288,51 @@ def test_dual_report_lengths_are_measures(tmp_path):
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def _edited_horseshoe_potential(tmp_path, edit):
+    obj = json.loads(potential_to_json(builtin("horseshoe").potential))
+    edit(obj)
+    path = tmp_path / "pot.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _set(obj, part, key, value):
+    obj[part][key] = value
+
+
+@pytest.mark.parametrize(
+    "edit, phrase",
+    [
+        (lambda o: _set(o, "values", "0", 800.0), "for the word (0,) overflows exp"),
+        (lambda o: _set(o, "values", "0", math.nan), "for the word (0,) is not finite"),
+        (
+            lambda o: [o[part].pop("1") for part in ("values", "weights")],
+            "missing the admissible word (1,)",
+        ),
+        (lambda o: _set(o, "weights", "0", "1/3"), "for the word (0,) disagrees"),
+    ],
+    ids=["overflow", "nan", "missing-word", "weights-disagree"],
+)
+def test_bad_potential_values_exit_2_naming_the_word(tmp_path, capsys, edit, phrase):
+    pot = _edited_horseshoe_potential(tmp_path, edit)
+    out = tmp_path / "out"
+    assert run_cli("horseshoe", "gibbs", "--potential", str(pot), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed potential file")
+    assert phrase in err
+    assert "Traceback" not in err
+
+
+def test_untrustworthy_measure_exits_4(tmp_path, capsys):
+    # a spectral gap of 4e-6: no Perron vector within 1e-12 can be certified
+    eps = 1e-6
+    rows = [[1 - eps, eps], [3 * eps, 1 - 3 * eps]]
+    pot = tmp_path / "pot.json"
+    pot.write_text(potential_to_json(markov_potential(builtin("horseshoe").sys, rows)))
+    code = run_cli("horseshoe", "gibbs", "--potential", str(pot), "--out", str(tmp_path))
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: Perron vector error bound")
+    assert "Traceback" not in err
