@@ -38,6 +38,7 @@ from .sft import (
     deep_window_of,
     drop_deep,
     enumerate_cylinders,
+    pair_value,
     walk_levels,
 )
 
@@ -174,15 +175,10 @@ class GapRatios:
         if self.constant is not None:
             return self.constant
         da, db = self.descriptor(a), self.descriptor(b)
-        if da == db:
-            return 1.0
-        hit = self.table.get((da, db))
-        if hit is not None:
-            return hit
-        hit = self.table.get((db, da))
-        if hit is not None:
-            return 1.0 / hit
-        raise MissingPairValue(f"no gap ratio stored for {da} : {db}")
+        hit = pair_value(self.table, da, db)
+        if hit is None:
+            raise MissingPairValue(f"no gap ratio stored for {da} : {db}")
+        return hit
 
     def validate(self, tol: float = GAP_TABLE_TOL) -> bool:
         """Multiplicative consistency of the stored entries.
@@ -193,28 +189,16 @@ class GapRatios:
         if self.constant is not None:
             return True
         descs = sorted({d for key in self.table for d in key})
-
-        def look(a: GapKey, b: GapKey) -> Optional[float]:
-            if a == b:
-                return 1.0
-            v = self.table.get((a, b))
-            if v is not None:
-                return v
-            v = self.table.get((b, a))
-            if v is not None:
-                return 1.0 / v
-            return None
-
         for a in descs:
             for b in descs:
-                ab = look(a, b)
+                ab = pair_value(self.table, a, b)
                 if ab is None:
                     continue
-                ba = look(b, a)
+                ba = pair_value(self.table, b, a)
                 if ba is None or abs(ab * ba - 1.0) > tol:
                     return False
                 for c in descs:
-                    bc, ac = look(b, c), look(a, c)
+                    bc, ac = pair_value(self.table, b, c), pair_value(self.table, a, c)
                     if bc is None or ac is None:
                         continue
                     if abs(ac - ab * bc) > tol * max(1.0, ac):
@@ -414,52 +398,39 @@ def cocycle_gap_rows(
     inv = 1.0 / delta
     deflate = math.exp(-pressure / delta)
     for inst in orbits:
-        for base in range(len(inst.orbit)):
-            tag = f"{inst.ident}/x{base}"
-            for n in range(2, depth + 1):
-                for w in enumerate_cylinders(sys, n, side):
-                    syms = w.symbols
-                    if _pivot_symbol(syms, side) != inst.m2_pivot:
-                        continue
-                    rel = _with_pivot(syms, inst.m1_pivot, side)
-                    if not sys.is_admissible(rel):
-                        continue
-                    msyms = drop_deep(syms, side)
-                    rho = g.measure(syms) / g.measure(msyms)
+        # (label, stored, induced) per descriptor; the same for every base point.
+        steps: list[tuple[str, float, float]] = []
+        gap_rows: list[tuple[str, float, float]] = []
+        for n in range(1, depth + 1):
+            for w in enumerate_cylinders(sys, n, side):
+                syms = w.symbols
+                if _pivot_symbol(syms, side) != inst.m2_pivot:
+                    continue
+                rel = _with_pivot(syms, inst.m1_pivot, side)
+                if not sys.is_admissible(rel):
+                    continue
+                if n >= 2:
+                    rho = g.measure(syms) / g.measure(drop_deep(syms, side))
                     induced = synth.ratio_of(cyl(rel)) * rho ** (-inv) * deflate
                     stored = pair.cocycle.factor(syms)
-                    out.append(
-                        TransportRow(
-                            f"{tag}:step:({_word_str(syms)})",
-                            stored,
-                            induced,
-                            abs(stored - induced),
-                        )
-                    )
-            for n in range(1, depth):
-                for w in enumerate_cylinders(sys, n, side):
-                    syms = w.symbols
-                    if _pivot_symbol(syms, side) != inst.m2_pivot:
-                        continue
-                    rel = _with_pivot(syms, inst.m1_pivot, side)
-                    if not sys.is_admissible(rel):
-                        continue
-                    gaps = [s for s in layout.ordered_children(syms) if s.is_gap]
-                    if len(gaps) < 2 or layout.gap_count(rel) < len(gaps):
-                        continue
-                    first = gaps[0]
-                    rel_first = synth.ratio_of(Seg("gap", rel, first.ordinal))
-                    for seg in gaps[1:]:
-                        induced = synth.ratio_of(Seg("gap", rel, seg.ordinal)) / rel_first
-                        stored = pair.gap_ratios.ratio(seg, first)
-                        out.append(
-                            TransportRow(
-                                f"{tag}:gap:({_word_str(syms)})#{seg.ordinal}",
-                                stored,
-                                induced,
-                                abs(stored - induced),
-                            )
-                        )
+                    steps.append((f"step:({_word_str(syms)})", stored, induced))
+                if n == depth:
+                    continue
+                gaps = [s for s in layout.ordered_children(syms) if s.is_gap]
+                if len(gaps) < 2 or layout.gap_count(rel) < len(gaps):
+                    continue
+                first = gaps[0]
+                rel_first = synth.ratio_of(Seg("gap", rel, first.ordinal))
+                for seg in gaps[1:]:
+                    induced = synth.ratio_of(Seg("gap", rel, seg.ordinal)) / rel_first
+                    stored = pair.gap_ratios.ratio(seg, first)
+                    gap_rows.append((f"gap:({_word_str(syms)})#{seg.ordinal}", stored, induced))
+        for base in range(len(inst.orbit)):
+            tag = f"{inst.ident}/x{base}"
+            out.extend(
+                TransportRow(f"{tag}:{label}", stored, induced, abs(stored - induced))
+                for label, stored, induced in steps + gap_rows
+            )
     return out
 
 

@@ -23,7 +23,16 @@ from .errors import (
     NonConvergentEigensolve,
     WordTooShort,
 )
-from .sft import S_SIDE, U_SIDE, Seg, SftSystem, Symbols, Word, enumerate_cylinders
+from .sft import (
+    S_SIDE,
+    U_SIDE,
+    Seg,
+    SftSystem,
+    Symbols,
+    Word,
+    enumerate_cylinders,
+    window_transitions,
+)
 
 POWER_TOL = 1e-14
 # Power-iteration steps per round; every round that does not settle squares
@@ -285,34 +294,27 @@ class GibbsMeasure:
             if w.symbols not in potential.phi:
                 raise ValueError(f"potential is missing the admissible word {w.symbols}")
 
-        blocks = [w.symbols for w in enumerate_cylinders(sys, self.block_len, U_SIDE)]
-        self._blocks = blocks
+        blocks, moves = window_transitions(sys, self.block_len, U_SIDE)
         self._bindex = {b: i for i, b in enumerate(blocks)}
-        nb = len(blocks)
-        T = np.zeros((nb, nb))
-        for i, b in enumerate(blocks):
-            for c in sys.successors(b[-1]):
-                full = b + (c,)
-                j = self._bindex[full[1:]]
-                T[i, j] = potential.weight_float(full[-potential.span :])
-        self._T = T
+        T = np.zeros((len(blocks), len(blocks)))
+        for i, j, word in moves:
+            T[i, j] = potential.weight_float(word[-potential.span :])
 
         lam_r, u = perron(T)
         lam_l, v = perron(T.T)
         self.lam = 0.5 * (lam_r + lam_l)
         v = v / float(v @ u)
-        self._u = u
-        self._v = v
+        self._float_data = (self.lam, T.tolist(), u.tolist(), v.tolist())
 
         self._exact_data = None
         if potential.exact_weights is not None:
-            self._exact_data = self._try_exact()
-        self._cache_float: dict[Symbols, float] = {}
-        self._cache_exact: dict[Symbols, Fraction] = {}
+            self._exact_data = self._try_exact(len(blocks), moves)
+        self._cache_float: dict[Symbols, float] = {(): 1.0}
+        self._cache_exact: dict[Symbols, Fraction] = {(): Fraction(1)}
 
     # -- exact route ---------------------------------------------------
 
-    def _try_exact(self):
+    def _try_exact(self, nb: int, moves: list[tuple[int, int, Symbols]]):
         W = self.potential.exact_weights
         assert W is not None
         # With D the lcm of the weights' denominators, D * lam is an algebraic
@@ -321,12 +323,9 @@ class GibbsMeasure:
         slack = D * EXACT_MATCH_TOL
         if slack < 0.5 and abs(D * self.lam - round(D * self.lam)) > slack:
             return None
-        nb = len(self._blocks)
         Tx = [[Fraction(0)] * nb for _ in range(nb)]
-        for i, b in enumerate(self._blocks):
-            for c in self.sys.successors(b[-1]):
-                full = b + (c,)
-                Tx[i][self._bindex[full[1:]]] = W[full[-self.span :]]
+        for i, j, word in moves:
+            Tx[i][j] = W[word[-self.span :]]
 
         seen: set[Fraction] = set()
         candidates = []
@@ -387,11 +386,33 @@ class GibbsMeasure:
             raise TypeError("measure expects a word, not a segment descriptor")
         return tuple(w)
 
-    def _block_words(self, syms: Symbols) -> list[Symbols]:
-        words = [syms]
-        while len(words[0]) < self.block_len:
-            words = [w + (c,) for w in words for c in self.sys.successors(w[-1])]
-        return words
+    def _cylinder(self, syms: Symbols, data: tuple, cache: dict) -> Union[Fraction, float]:
+        """The measure of an admissible word from Perron data (lam, T, u, v).
+
+        A word of at least one block is v[i] * prod T[i][j] * u[i] *
+        lam ** -(n - L) along its blocks; a shorter word sums its block-length
+        extensions.  Fractions in, Fractions out; floats likewise.
+        """
+        out = cache.get(syms)
+        if out is not None:
+            return out
+        lam, T, u, v = data
+        L = self.block_len
+        if len(syms) < L:
+            words = [syms]
+            while len(words[0]) < L:
+                words = [w + (c,) for w in words for c in self.sys.successors(w[-1])]
+            out = sum(self._cylinder(w, data, cache) for w in words)
+        else:
+            i = self._bindex[syms[:L]]
+            out = v[i]
+            for pos in range(len(syms) - L):
+                j = self._bindex[syms[pos + 1 : pos + 1 + L]]
+                out *= T[i][j]
+                i = j
+            out = out * u[i] * lam ** -(len(syms) - L)
+        cache[syms] = out
+        return out
 
     def measure_exact(self, w: Union[Word, Sequence[int]]) -> Fraction:
         """The cylinder measure as an exact rational (exact mode only)."""
@@ -400,51 +421,19 @@ class GibbsMeasure:
         syms = self._symbols_of(w)
         if not self.sys.is_admissible(syms):
             return Fraction(0)
-        if syms in self._cache_exact:
-            return self._cache_exact[syms]
-        lam, Tx, u, v = self._exact_data
-        if len(syms) == 0:
-            out = Fraction(1)
-        elif len(syms) < self.block_len:
-            out = sum(
-                (self.measure_exact(e) for e in self._block_words(syms)),
-                Fraction(0),
-            )
-        else:
-            L = self.block_len
-            i = self._bindex[syms[:L]]
-            out = v[i]
-            for pos in range(len(syms) - L):
-                j = self._bindex[syms[pos + 1 : pos + 1 + L]]
-                out *= Tx[i][j]
-                i = j
-            out *= u[i] * lam ** -(len(syms) - L)
-        self._cache_exact[syms] = out
-        return out
+        return self._cylinder(syms, self._exact_data, self._cache_exact)
 
     def measure(self, w: Union[Word, Sequence[int]]) -> float:
         """Measure of the cylinder named by a word; 0 when inadmissible."""
         syms = self._symbols_of(w)
-        if syms in self._cache_float:
-            return self._cache_float[syms]
+        out = self._cache_float.get(syms)
+        if out is not None:
+            return out
         if not self.sys.is_admissible(syms):
             return 0.0
-        if self._exact_data is not None:
-            out = float(self.measure_exact(syms))
-        elif len(syms) == 0:
-            out = 1.0
-        elif len(syms) < self.block_len:
-            out = sum(self.measure(e) for e in self._block_words(syms))
-        else:
-            L = self.block_len
-            i = self._bindex[syms[:L]]
-            acc = float(self._v[i])
-            for pos in range(len(syms) - L):
-                j = self._bindex[syms[pos + 1 : pos + 1 + L]]
-                acc *= self._T[i, j]
-                i = j
-            out = float(acc * self._u[i] * self.lam ** -(len(syms) - L))
-        self._cache_float[syms] = out
+        if self._exact_data is None:
+            return self._cylinder(syms, self._float_data, self._cache_float)
+        out = self._cache_float[syms] = float(self.measure_exact(syms))
         return out
 
     # -- window conditionals ---------------------------------------------
@@ -462,10 +451,6 @@ class GibbsMeasure:
     def prepend_conditional(self, sym: int, suffix: Symbols) -> float:
         window = suffix[: self.block_len] if len(suffix) > self.block_len else suffix
         return self.measure((sym,) + window) / self.measure(window)
-
-
-def gibbs_measure(sys: SftSystem, potential: Potential) -> GibbsMeasure:
-    return GibbsMeasure(sys, potential)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Optional
+from functools import cached_property
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,14 +35,13 @@ from .sft import (
     SftSystem,
     Symbols,
     cyl,
-    deep_extend,
-    deep_window_of,
     drop_deep,
     enumerate_cylinders,
     opposite,
     periodic_orbits,
     stabilized,
     walk_levels,
+    window_transitions,
 )
 
 # Bisection controls for the dimension equation.
@@ -80,6 +80,14 @@ class RatioTable:
     def children_sum(self, m: Symbols) -> float:
         layout = self.sys.layout(self.side)
         return sum(self.ratio_of(s) for s in layout.ordered_children(tuple(m)))
+
+    @cached_property
+    def _transitions(self) -> tuple[tuple[int, ...], tuple[int, ...], list[float], int]:
+        """The window-transition pattern at `window_depth`: rows, columns and
+        child ratios of the admissible moves, and the number of windows."""
+        windows, moves = window_transitions(self.sys, self.window_depth, self.side)
+        rows, cols, words = zip(*moves)
+        return rows, cols, [self.ratio_of(cyl(w)) for w in words], len(windows)
 
 
 def _ratio_source(x):
@@ -121,9 +129,6 @@ class TrainTrackRealization:
                 return hit
             return self._cyl_length(seg.word) * self.ratio.ratio_of(seg)
         return self._cyl_length(seg.word)
-
-    def child_ratio(self, seg: Seg) -> float:
-        return self.ratio.ratio_of(seg)
 
 
 def lengths_from_ratio(
@@ -187,43 +192,20 @@ def additivity_defect(tt: TrainTrackRealization) -> float:
     return worst
 
 
-def _pressure_at(src) -> Callable[[float], float]:
-    """The pressure of a ratio source as a function of delta.
-
-    The window-transition pattern and its child ratios are read once; each
-    call raises the ratios to delta on the admissible transitions only, so
-    the zero pattern stays (0 ** 0 is 1).
-    """
-    sys, side, wd = src.sys, src.side, src.window_depth
-    states = [w.symbols for w in enumerate_cylinders(sys, wd, side)]
-    index = {s: i for i, s in enumerate(states)}
-    rows: list[int] = []
-    cols: list[int] = []
-    ratios: list[float] = []
-    for i, w in enumerate(states):
-        for c in sys.deep_extensions(w, side):
-            child = deep_extend(w, c, side)
-            rows.append(i)
-            cols.append(index[deep_window_of(child, wd, side)])
-            ratios.append(src.ratio_of(cyl(child)))
-
-    def pressure(delta: float) -> float:
-        T = np.zeros((len(states), len(states)))
-        T[rows, cols] = [r**delta for r in ratios]
-        lam, _ = perron(T)
-        return math.log(lam)
-
-    return pressure
-
-
 def pressure_of(x, delta: float) -> float:
     """Log spectral radius of the window-transition matrix at exponent delta.
 
     States are the admissible windows at the source's stabilization depth;
     the transition weight into the deepened window is the child ratio
-    raised to delta.
+    raised to delta, on the admissible transitions only (0 ** 0 is 1, so
+    the zero pattern stays).  The pattern and its ratios are derived once
+    per table, so a table's `ratios` must not change after its first use.
     """
-    return _pressure_at(_ratio_source(x))(delta)
+    rows, cols, ratios, n = _ratio_source(x)._transitions
+    T = np.zeros((n, n))
+    T[rows, cols] = [r**delta for r in ratios]
+    lam, _ = perron(T)
+    return math.log(lam)
 
 
 class DimensionReport(NamedTuple):
@@ -239,25 +221,24 @@ def dimension_report(x) -> DimensionReport:
     keeps the pressure non-negative (the side fills its interval); raises
     NoRoot when the pressure is already negative at the floor exponent.
     """
-    pressure = _pressure_at(_ratio_source(x))
     hi = 1.0
-    if pressure(hi) >= 0.0:
-        return DimensionReport(1.0, abs(pressure(1.0)), 0)
+    if pressure_of(x, hi) >= 0.0:
+        return DimensionReport(1.0, abs(pressure_of(x, 1.0)), 0)
     lo = DIM_DELTA_FLOOR
-    if pressure(lo) <= 0.0:
+    if pressure_of(x, lo) <= 0.0:
         raise NoRoot(f"pressure is negative down to delta = {lo}")
     steps = 0
     for _ in range(DIM_MAX_STEPS):
         steps += 1
         mid = 0.5 * (lo + hi)
-        if pressure(mid) > 0.0:
+        if pressure_of(x, mid) > 0.0:
             lo = mid
         else:
             hi = mid
         if hi - lo < DIM_DELTA_TOL:
             break
     delta = 0.5 * (lo + hi)
-    return DimensionReport(delta, abs(pressure(delta)), steps)
+    return DimensionReport(delta, abs(pressure_of(x, delta)), steps)
 
 
 def hausdorff_dimension(x) -> float:

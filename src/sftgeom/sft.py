@@ -123,6 +123,21 @@ def gap(mother: Sequence[int], ordinal: int = 0) -> Seg:
     return Seg("gap", tuple(mother), ordinal)
 
 
+def pair_value(table: Mapping[tuple, float], a, b) -> Optional[float]:
+    """The value of the ordered pair (a, b) in a reciprocal pair table.
+
+    1 on the diagonal, else the stored value, else the reciprocal of the
+    reverse entry; None when neither direction is stored.
+    """
+    if a == b:
+        return 1.0
+    hit = table.get((a, b))
+    if hit is not None:
+        return hit
+    back = table.get((b, a))
+    return None if back is None else 1.0 / back
+
+
 def stabilized(seg: Seg, depth: int, side: str) -> Seg:
     """Truncate a descriptor to its window at stabilization depth `depth`.
 
@@ -458,7 +473,8 @@ def build_sft(
 
 
 def enumerate_cylinders(sys: SftSystem, n: int, side: str) -> list[Word]:
-    """All admissible length-n words on `side`, lexicographic order."""
+    """All admissible length-n words on `side`, lexicographic order (the
+    depth-first walk over ascending successors yields it unsorted)."""
     if n < 1:
         raise ValueError("cylinder depth must be at least 1")
     words: list[Symbols] = []
@@ -473,8 +489,26 @@ def enumerate_cylinders(sys: SftSystem, n: int, side: str) -> list[Word]:
 
     for a in range(sys.k):
         grow((a,))
-    words.sort()
     return [Word(w, side) for w in words]
+
+
+def window_transitions(
+    sys: SftSystem, length: int, side: str
+) -> tuple[list[Symbols], list[tuple[int, int, Symbols]]]:
+    """The admissible `length`-windows on `side` and their one-symbol moves.
+
+    Windows come in enumerate_cylinders order.  Each move (i, j, word)
+    extends window i by one admissible symbol at its deep end; `word` is
+    the extended word and j the index of its deep-end window.
+    """
+    windows = [w.symbols for w in enumerate_cylinders(sys, length, side)]
+    index = {w: i for i, w in enumerate(windows)}
+    moves = []
+    for i, w in enumerate(windows):
+        for c in sys.deep_extensions(w, side):
+            word = deep_extend(w, c, side)
+            moves.append((i, index[deep_window_of(word, length, side)], word))
+    return windows, moves
 
 
 def walk_levels(

@@ -35,6 +35,7 @@ from .sft import (
     drop_deep,
     enumerate_cylinders,
     opposite,
+    pair_value,
     seg_from_json,
     seg_to_json,
     stabilized,
@@ -69,20 +70,15 @@ class SolenoidSpec:
 
     def sigma(self, a: Seg, b: Seg) -> float:
         """Ratio of segment a to segment b."""
-        key = (
+        # Reciprocity forces the diagonal: sigma(a, a)^2 = 1.
+        hit = pair_value(
+            self.values,
             stabilized(a, self.stabilization, self.side),
             stabilized(b, self.stabilization, self.side),
         )
-        if key[0] == key[1]:
-            # Reciprocity forces the diagonal: sigma(a, a)^2 = 1.
-            return 1.0
-        hit = self.values.get(key)
-        if hit is not None:
-            return hit
-        back = self.values.get((key[1], key[0]))
-        if back is not None:
-            return 1.0 / back
-        raise MissingPairValue(f"no stored ratio for {a} against {b}")
+        if hit is None:
+            raise MissingPairValue(f"no stored ratio for {a} against {b}")
+        return hit
 
     def validate(self) -> list[str]:
         problems = []
@@ -114,21 +110,19 @@ def _deep_agreement(side: str, w1: Symbols, w2: Symbols) -> int:
 def _holder_from_values(
     side: str, values: Mapping[PairKey, float], alpha: float
 ) -> float:
+    """Worst |v1 - v2| * 2^(alpha q) over pairs of structurally matching keys:
+    per coordinate the same kind, ordinal and word length."""
+    groups: dict[tuple, list[tuple[PairKey, float]]] = {}
+    for key, v in values.items():
+        shape = tuple((s.kind, s.ordinal, len(s.word)) for s in key)
+        groups.setdefault(shape, []).append((key, v))
     worst = 0.0
-    items = list(values.items())
-    for (k1, v1), (k2, v2) in combinations(items, 2):
-        ok = all(
-            s1.kind == s2.kind
-            and s1.ordinal == s2.ordinal
-            and len(s1.word) == len(s2.word)
-            for s1, s2 in zip(k1, k2)
-        )
-        if not ok:
-            continue
-        q = min(
-            _deep_agreement(side, s1.word, s2.word) for s1, s2 in zip(k1, k2)
-        )
-        worst = max(worst, abs(v1 - v2) * 2.0 ** (alpha * q))
+    for items in groups.values():
+        for (k1, v1), (k2, v2) in combinations(items, 2):
+            q = min(
+                _deep_agreement(side, s1.word, s2.word) for s1, s2 in zip(k1, k2)
+            )
+            worst = max(worst, abs(v1 - v2) * 2.0 ** (alpha * q))
     return worst
 
 
@@ -157,11 +151,10 @@ def _expanded_row(layout: GapLayout, word: Symbols, remaining: int) -> list[Seg]
     return out
 
 
-def _row_leaf_pairs(layout: GapLayout, depth: int) -> list[PairKey]:
-    """Consecutive leaf pairs at one depth: adjacent on a side without
+def _row_leaf_pairs(row: list[Seg], has_gaps: bool) -> list[PairKey]:
+    """Consecutive leaf pairs of an expanded row: adjacent on a side without
     gaps, flanking exactly one gap on a side with them."""
-    row = _expanded_row(layout, (), depth)
-    need = 1 if layout.has_gaps else 0
+    need = 1 if has_gaps else 0
     out: list[PairKey] = []
     for i, seg in enumerate(row):
         if seg.is_gap:
@@ -174,12 +167,6 @@ def _row_leaf_pairs(layout: GapLayout, depth: int) -> list[PairKey]:
         if j < len(row) and gaps == need:
             out.append((seg, row[j]))
     return out
-
-
-def _row_neighbour_pairs(layout: GapLayout, depth: int) -> list[PairKey]:
-    """Every consecutive pair in the expanded row, gap segments included."""
-    row = _expanded_row(layout, (), depth)
-    return list(zip(row, row[1:]))
 
 
 def _agnostic_pairs(sys: SftSystem, side: str, depth: int) -> list[PairKey]:
@@ -197,66 +184,17 @@ def _agnostic_pairs(sys: SftSystem, side: str, depth: int) -> list[PairKey]:
     return out
 
 
-def from_gibbs(g: GibbsMeasure, side: str) -> SolenoidSpec:
-    """The measure solenoid of a Gibbs state, tabulated on sibling pairs.
-
-    Without a registered layout every sibling pair is admitted and the
-    spec is flagged boundary-agnostic.
-    """
-    sys = g.sys
-    stab = max(g.span, 2)
-    agnostic = not sys.has_layout(side)
+def _tabulated(
+    side: str, kind: str, stab: int, pairs_at, value, agnostic: bool = False
+) -> SolenoidSpec:
+    """The spec holding value(a, b) for every pair of pairs_at(depth), depth
+    1..stab, one direction per pair, with its value range and Hoelder
+    constant."""
     values: dict[PairKey, float] = {}
     for d in range(1, stab + 1):
-        if agnostic:
-            pairs = _agnostic_pairs(sys, side, d)
-        else:
-            pairs = _row_leaf_pairs(sys.layout(side), d)
-        for a, b in pairs:
-            if (a, b) in values or (b, a) in values:
-                continue
-            if g.exact:
-                values[(a, b)] = float(
-                    g.measure_exact(a.word) / g.measure_exact(b.word)
-                )
-            else:
-                values[(a, b)] = g.measure(a.word) / g.measure(b.word)
-    spread = list(values.values()) + [1.0 / v for v in values.values()]
-    return SolenoidSpec(
-        side=side,
-        domain_kind="leaf-leaf",
-        stabilization=stab,
-        values=values,
-        holder_alpha=1.0,
-        holder_constant=_holder_from_values(side, values, 1.0),
-        v_min=min(spread),
-        v_max=max(spread),
-        boundary_agnostic=agnostic,
-    )
-
-
-def from_realization(tt) -> SolenoidSpec:
-    """Read the solenoid of a train-track realization off its lengths.
-
-    On a side with gaps the domain keeps the gap segments ("leaf-gap")
-    and every consecutive pair in the geometric row order is priced,
-    which covers sibling chains as well as pairs that touch across a
-    mother boundary.
-    """
-    sys = tt.sys
-    side = tt.side
-    layout = sys.layout(side)
-    kind = "leaf-gap" if layout.has_gaps else "leaf-leaf"
-    stab = max(tt.window_depth, 2)
-    values: dict[PairKey, float] = {}
-    for d in range(1, stab + 1):
-        pairs = list(_row_neighbour_pairs(layout, d)) + _row_leaf_pairs(layout, d)
-        for a, b in pairs:
-            if kind == "leaf-leaf" and (a.is_gap or b.is_gap):
-                continue
-            if (a, b) in values or (b, a) in values:
-                continue
-            values[(a, b)] = tt.length_of(a) / tt.length_of(b)
+        for a, b in pairs_at(d):
+            if (a, b) not in values and (b, a) not in values:
+                values[(a, b)] = value(a, b)
     spread = list(values.values()) + [1.0 / v for v in values.values()]
     return SolenoidSpec(
         side=side,
@@ -267,7 +205,53 @@ def from_realization(tt) -> SolenoidSpec:
         holder_constant=_holder_from_values(side, values, 1.0),
         v_min=min(spread),
         v_max=max(spread),
-        boundary_agnostic=False,
+        boundary_agnostic=agnostic,
+    )
+
+
+def from_gibbs(g: GibbsMeasure, side: str) -> SolenoidSpec:
+    """The measure solenoid of a Gibbs state, tabulated on sibling pairs.
+
+    Without a registered layout every sibling pair is admitted and the
+    spec is flagged boundary-agnostic.
+    """
+    sys = g.sys
+    agnostic = not sys.has_layout(side)
+
+    def pairs_at(d: int) -> list[PairKey]:
+        if agnostic:
+            return _agnostic_pairs(sys, side, d)
+        layout = sys.layout(side)
+        return _row_leaf_pairs(_expanded_row(layout, (), d), layout.has_gaps)
+
+    def value(a: Seg, b: Seg) -> float:
+        if g.exact:
+            return float(g.measure_exact(a.word) / g.measure_exact(b.word))
+        return g.measure(a.word) / g.measure(b.word)
+
+    return _tabulated(side, "leaf-leaf", max(g.span, 2), pairs_at, value, agnostic)
+
+
+def from_realization(tt) -> SolenoidSpec:
+    """Read the solenoid of a train-track realization off its lengths.
+
+    On a side with gaps the domain keeps the gap segments ("leaf-gap")
+    and every consecutive pair in the geometric row order is priced,
+    which covers sibling chains as well as pairs that touch across a
+    mother boundary.
+    """
+    layout = tt.sys.layout(tt.side)
+
+    def pairs_at(d: int) -> list[PairKey]:
+        row = _expanded_row(layout, (), d)
+        return list(zip(row, row[1:])) + _row_leaf_pairs(row, layout.has_gaps)
+
+    return _tabulated(
+        tt.side,
+        "leaf-gap" if layout.has_gaps else "leaf-leaf",
+        max(tt.window_depth, 2),
+        pairs_at,
+        lambda a, b: tt.length_of(a) / tt.length_of(b),
     )
 
 
