@@ -28,26 +28,23 @@ from .cocycle import cocycle_gap_rows, constant_pair, pair_from_json, synthesize
 from .errors import ParseError, SftGeomError, UnknownBuiltin
 from .gibbs import GibbsMeasure, measure_scaling, potential_from_json, uniform_potential
 from .realize import (
+    WindowWalk,
     additivity_defect,
     dimension_report,
     dual_pair,
     eigenvalue,
     eigenvalue_via_measure,
-    lengths_from_ratio,
     livsic_sinai_check,
 )
 from .sft import (
     S_SIDE,
     SftSystem,
     U_SIDE,
-    Seg,
-    cyl,
     deep_extend,
     enumerate_cylinders,
     load_system,
     opposite,
     periodic_orbits,
-    walk_levels,
 )
 from .solenoid import (
     boundary_rows,
@@ -122,12 +119,6 @@ def _write_text(path: Path, text: str) -> None:
 
 def _dotted(symbols: Sequence[int]) -> str:
     return ".".join(str(s) for s in symbols)
-
-
-def _descriptor(seg: Seg) -> str:
-    if seg.kind == "gap":
-        return f"{_dotted(seg.word)}#{seg.ordinal}"
-    return _dotted(seg.word)
 
 
 class ReportTable(NamedTuple):
@@ -403,21 +394,26 @@ def _task_synthesize(ctx: _Ctx) -> TaskOutcome:
     if pressure is None:
         pressure = 0.0
     synth = synthesize_ratio(ctx.measure, pair, delta, pressure, scn.depth)
-    tt = lengths_from_ratio(synth)
-    rows = []
-    worst = 0.0
+    walk, texts, rows = WindowWalk(synth), [], []
+    u = ctx.side == U_SIDE
+    # A dotted word is its mother's with the new symbol at the deep end.
+    dotted = lambda w, a: (f"{w}.{a}" if u else f"{a}.{w}") if w else str(a)
     # Rows of one depth: each cylinder, then the gaps among its children.
-    for n, level in enumerate(walk_levels(ctx.system.layout(ctx.side), scn.depth + 1)):
-        for m, kids in level:
+    for n, level in enumerate(walk.levels(scn.depth, "", dotted)):
+        texts += [_fmt(r) for _, _, r, _ in walk.moves[len(texts):]]
+        here, below = str(n), str(n + 1)
+        for label, base, state, made in level:
             if n > 0:
-                rows.append((_dotted(m), synth.ratio_of(cyl(m)), tt.lengths[m], n))
-            if n == scn.depth:
-                continue
-            worst = max(worst, abs(sum(synth.ratio_of(c) for c in kids) - 1.0))
-            for c in kids:
-                if c.is_gap:
-                    length = tt.gap_lengths[(c.word, c.ordinal)]
-                    rows.append((_descriptor(c), synth.ratio_of(c), length, n + 1))
+                rows.append((label, texts[made], base, here))
+            if n < scn.depth:
+                for i in walk.children(state):
+                    gap, key, r, _ = walk.moves[i]
+                    if gap:
+                        rows.append((f"{label}#{key}", texts[i], base * r, below))
+    worst = 0.0
+    # Read states are the states of the mothers above the last depth.
+    for span in (span for span in walk.spans if span is not None):
+        worst = max(worst, abs(sum(walk.moves[i][2] for i in span) - 1.0))
     return _emit(
         ctx, "synthesize", ("descriptor", "ratio", "length", "depth"), rows, worst
     )

@@ -241,7 +241,10 @@ def _gap_ratio(steps: list[float], top: float, squarings: int, previous: float) 
     largest of the m before (m at most CONTRACTION_WINDOW): their ratio
     is the contraction of m steps, and the envelope is robust to the
     oscillation that complex subdominant eigenvalues cause.  A round with
-    fewer than two such steps tells nothing, and `previous` stands.
+    fewer than two such steps tells nothing, and `previous` stands; so does
+    a reading of one or more before a step at rounding level, the finite
+    transient of a defective zero eigenvalue (a primitive matrix has
+    |lambda_2 / lambda_1| < 1).
     """
     b = 0
     while b < len(steps) and steps[b] > CONTRACTION_NOISE * top:
@@ -250,6 +253,8 @@ def _gap_ratio(steps: list[float], top: float, squarings: int, previous: float) 
     if m < 1:
         return previous
     shrink = max(steps[b - m : b]) / max(steps[b - 2 * m : b - m])
+    if shrink >= 1.0 and b < len(steps):
+        return previous
     return shrink ** (1.0 / (m * 2**squarings))
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Optional
+from itertools import islice
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .sft import (
     SftSystem,
     Symbols,
     cyl,
+    deep_window_of,
     drop_deep,
     enumerate_cylinders,
     opposite,
@@ -131,6 +133,77 @@ class TrainTrackRealization:
         return self._cyl_length(seg.word)
 
 
+class WindowWalk:
+    """The tree of one side of a ratio table, walked by window state.
+
+    A node's state is its deep-end window of min(len, window_depth - 1)
+    symbols (one at least, below the root): it fixes each child's ratio
+    (see sft.stabilized) and state.  A state's children are read once, into
+    `moves` as (is gap, symbol or gap ordinal, ratio, state or -1), when a
+    mother in that state is first expanded.  That mother is the window
+    itself, so a missing or bad ratio raises as a word-by-word walk would.
+    """
+
+    def __init__(self, ratio) -> None:
+        self.ratio = ratio
+        self.moves: list[tuple[bool, int, float, int]] = []
+        self.spans: list[Optional[range]] = [None]  # per state, the root 0
+        self._ids: dict[Symbols, int] = {(): 0}
+        self._windows: list[Symbols] = [()]
+        self._ascending: list[list[int]] = [[]]  # cylinder moves by symbol
+
+    def children(self, state: int) -> range:
+        """Positions in `moves` of a state's children, in layout order."""
+        if self.spans[state] is not None:
+            return self.spans[state]
+        m, side, start = self._windows[state], self.ratio.side, len(self.moves)
+        for seg in self.ratio.sys.layout(side).ordered_children(m):
+            r = self.ratio.ratio_of(seg)
+            if seg.is_gap:
+                if r < 0.0:
+                    raise NegativeGap(f"gap ratio {r!r} under {m}")
+                self.moves.append((True, seg.ordinal, r, -1))
+                continue
+            if r < 0.0 or not math.isfinite(r):
+                raise ValueError(f"bad cylinder ratio {r!r} at {seg.word}")
+            window = deep_window_of(seg.word, max(self.ratio.window_depth - 1, 1), side)
+            if window not in self._ids:
+                self._ids[window] = len(self._windows)
+                self._windows.append(window)
+                self.spans.append(None)
+                self._ascending.append([])
+            key = seg.word[-1 if side == U_SIDE else 0]
+            self.moves.append((False, key, r, self._ids[window]))
+        span = self.spans[state] = range(start, len(self.moves))
+        cyls = [i for i in span if not self.moves[i][0]]
+        self._ascending[state] = sorted(cyls, key=lambda i: self.moves[i][1])
+        return span
+
+    def levels(self, depth: int, root: Any, extend: Callable) -> Iterator[list[tuple]]:
+        """The nodes of depth 0 to `depth` as (label, length, state, move)
+        lists, one per level, each level in enumerate_cylinders order.
+
+        The root has label `root`, length 1 and move -1; a child has label
+        extend(mother's label, symbol) and length mother's length * ratio.
+        The children of each level but the last are read before it is
+        yielded.
+        """
+        u = self.ratio.side == U_SIDE
+        level = [(root, 1.0, 0, -1)]
+        for _ in range(depth):
+            # lexicographic order: on "u" each mother's children by symbol,
+            # on "s" a stable bucketing by the new first symbol
+            buckets: list[list[tuple]] = [[] for _ in range(1 if u else self.ratio.sys.k)]
+            for label, base, state, _ in level:
+                self.children(state)
+                for i in self._ascending[state]:
+                    _, key, r, j = self.moves[i]
+                    buckets[0 if u else key].append((extend(label, key), base * r, j, i))
+            yield level
+            level = [node for bucket in buckets for node in bucket]
+        yield level
+
+
 def lengths_from_ratio(
     ratio,
     delta: Optional[float] = None,
@@ -145,7 +218,6 @@ def lengths_from_ratio(
     sys, side = ratio.sys, ratio.side
     if not sys.has_layout(side):
         raise NotInDomain(f"no layout recorded for the {side!r} side")
-    layout = sys.layout(side)
     if delta is None:
         delta = ratio.delta
     if pressure is None:
@@ -156,19 +228,16 @@ def lengths_from_ratio(
         depth = ratio.depth if ratio.depth is not None else ratio.window_depth + 4
     lengths: dict[Symbols, float] = {(): 1.0}
     gap_lengths: dict[tuple[Symbols, int], float] = {}
-    for level in walk_levels(layout, depth):
-        for m, kids in level:
-            base = lengths[m]
-            for seg in kids:
-                r = ratio.ratio_of(seg)
-                if seg.is_gap:
-                    if r < 0.0:
-                        raise NegativeGap(f"gap ratio {r!r} under {m}")
-                    gap_lengths[(seg.word, seg.ordinal)] = base * r
+    walk = WindowWalk(ratio)
+    extend = (lambda w, a: w + (a,)) if side == U_SIDE else (lambda w, a: (a,) + w)
+    for level in islice(walk.levels(depth, (), extend), depth):
+        for m, base, state, _ in level:
+            for i in walk.children(state):
+                gap, key, r, _ = walk.moves[i]
+                if gap:
+                    gap_lengths[(m, key)] = base * r
                 else:
-                    if r < 0.0 or not math.isfinite(r):
-                        raise ValueError(f"bad cylinder ratio {r!r} at {seg.word}")
-                    lengths[seg.word] = base * r
+                    lengths[extend(m, key)] = base * r
     return TrainTrackRealization(
         sys=sys,
         side=side,

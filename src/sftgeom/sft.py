@@ -371,8 +371,14 @@ class SftSystem:
         return not self.layout(side).has_gaps
 
     def trace_power(self, p: int) -> int:
-        m = np.array(self.A, dtype=np.int64)
-        return int(np.trace(np.linalg.matrix_power(m, p)))
+        """trace(A ** p), the number of points of period p, in exact integers."""
+        if p < 0:
+            raise ValueError("the power must be non-negative")
+        cols = list(zip(*self.A))
+        power = [[int(i == j) for j in range(self.k)] for i in range(self.k)]
+        for _ in range(p):
+            power = [[sum(x * y for x, y in zip(row, c)) for c in cols] for row in power]
+        return sum(power[i][i] for i in range(self.k))
 
 
 def _primitivity_exponent(k: int, A: Sequence[Sequence[int]]) -> int:

@@ -163,6 +163,12 @@ def test_orbit_counts_random_matrices(matrix):
         _orbit_count_identity(sys, p)
 
 
+def test_trace_power_is_exact_past_int64():
+    full5 = build_sft(5, [[1] * 5] * 5)
+    assert full5.trace_power(28) == 5**28
+    assert full5.trace_power(0) == 5
+
+
 MIDDLE_THIRD_U = GapLayout(
     "u",
     {

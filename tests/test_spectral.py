@@ -55,6 +55,21 @@ def test_borderline_gap_is_exact_or_loud():
     assert law_error(g) <= 1e-12
 
 
+def test_finite_transient_is_no_gap_ratio():
+    """Weights that read only the newest symbol give a transfer matrix of
+    rank one plus a nilpotent part: the power steps grow once, then vanish."""
+    weights = {
+        (a, b, c): Fraction(2 - c, 3) for a in range(2) for b in range(2) for c in range(2)
+    }
+    phi = {w: math.log(x) for w, x in weights.items()}
+    flt = GibbsMeasure(FULL2, gibbs.Potential(3, phi))
+    exact = GibbsMeasure(FULL2, gibbs.Potential(3, phi, weights))
+    assert exact.exact and not flt.exact
+    for w in ((0,), (1,), (0, 1), (1, 1, 0)):
+        want = float(exact.measure_exact(w))
+        assert abs(flt.measure(w) - want) <= 1e-12 * want
+
+
 @st.composite
 def primitive_matrices(draw):
     """Nonnegative n x n matrices with a positive diagonal and a positive

@@ -4,12 +4,15 @@ checks agree with the pointwise extension of the scaling function."""
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sftgeom.builtins import builtin
+from sftgeom.builtins import BUILTIN_NAMES, TABLE_DEPTH, builtin
 from sftgeom.cli import load_table, main
 from sftgeom.cocycle import (
     CocycleGapPair,
@@ -17,14 +20,25 @@ from sftgeom.cocycle import (
     constant_pair,
     synthesize_ratio,
 )
+from sftgeom.errors import NegativeGap, SftGeomError
 from sftgeom.gibbs import (
     AdmissiblePair,
     GibbsMeasure,
     extended_scaling,
     markov_potential,
+    uniform_potential,
 )
-from sftgeom.realize import lengths_from_ratio
-from sftgeom.sft import Word, cyl, drop_deep, enumerate_cylinders, walk_levels
+from sftgeom.realize import RatioTable, lengths_from_ratio
+from sftgeom.sft import (
+    GapLayout,
+    Word,
+    build_sft,
+    cyl,
+    drop_deep,
+    enumerate_cylinders,
+    save_system,
+    walk_levels,
+)
 from sftgeom.solenoid import (
     bounded_equivalence,
     bounded_solenoid_class_check,
@@ -107,31 +121,175 @@ def test_walk_levels_follow_enumeration_order(toy):
             assert all(kids == layout.ordered_children(m) for m, kids in level)
 
 
-def test_synthesize_report_matches_the_library(toy, tmp_path):
-    argv = ["run", "da-attractor-toy", "synthesize", "--depth", "6", "--out", str(tmp_path)]
-    assert main(argv) == 0
-    table = load_table(tmp_path / "synthesize.csv")
-    synth = synthesize_ratio(toy.measure, constant_pair("s"), 0.5, 0.0, 6)
-    tt = lengths_from_ratio(synth)
-    layout = toy.sys.layout("s")
+def _gapped_full_shift(k: int):
+    """The full shift on k symbols; every list of children runs in a
+    scrambled symbol order with a gap after every third cylinder."""
+    order = [(7 * i + 3) % k for i in range(k)]
+    entries = []
+    for i, a in enumerate(order):
+        entries.append(("cyl", a))
+        if i % 3 == 2 and i < k - 1:
+            entries.append(("gap",))
+    layout = {key: tuple(entries) for key in [None, *range(k)]}
+    return build_sft(
+        k,
+        [[1] * k for _ in range(k)],
+        layouts={side: GapLayout(side, layout) for side in ("u", "s")},
+    )
+
+
+# Every side that synthesizes: the gapped builtin sides, and an 11-symbol
+# full shift, whose integer symbol order differs from the string order.
+SYNTH_SIDES = [
+    ("horseshoe", "u", 6),
+    ("horseshoe", "s", 6),
+    ("cantor-third", "u", 6),
+    ("cantor-third", "s", 6),
+    ("da-attractor-toy", "s", 6),
+    ("full-11", "u", 3),
+    ("full-11", "s", 3),
+]
+
+
+@pytest.mark.parametrize("source,side,depth", SYNTH_SIDES)
+def test_synthesize_report_matches_the_library(source, side, depth, tmp_path):
+    if source == "full-11":
+        sys = _gapped_full_shift(11)
+        save_system(sys, str(tmp_path / "sys.json"))
+        argv = ["run", "--system", str(tmp_path / "sys.json"), "synthesize", "--delta", "0.5"]
+        g = GibbsMeasure(sys, uniform_potential(sys))
+        pair, delta, pressure = constant_pair(side), 0.5, 0.0
+    else:
+        b = builtin(source)
+        argv = ["run", source, "synthesize"]
+        g, bs = b.measure, b.side(side)
+        pair, delta, pressure = bs.pair, bs.delta, bs.pressure
+    out = tmp_path / "out"
+    assert main(argv + ["--side", side, "--depth", str(depth), "--out", str(out)]) == 0
+    table = load_table(out / "synthesize.csv")
+    synth = synthesize_ratio(g, pair, delta, pressure, depth)
+    # A depth-one realization lengthens deeper words by telescoping on demand.
+    tt = lengths_from_ratio(synth, depth=1)
+    layout = g.sys.layout(side)
     want = []
-    for n in range(7):
-        words = [()] if n == 0 else [w.symbols for w in enumerate_cylinders(toy.sys, n, "s")]
+    worst = 0.0
+    for n in range(depth + 1):
+        words = [()] if n == 0 else [w.symbols for w in enumerate_cylinders(g.sys, n, side)]
         for m in words:
             if n > 0:
-                want.append((".".join(map(str, m)), synth.ratio_of(cyl(m)), tt.lengths[m], n))
-            if n == 6:
+                label = ".".join(map(str, m))
+                want.append((label, synth.ratio_of(cyl(m)), tt.length_of(cyl(m)), n))
+            if n == depth:
                 continue
-            for c in layout.ordered_children(m):
+            kids = layout.ordered_children(m)
+            worst = max(worst, abs(sum(synth.ratio_of(c) for c in kids) - 1.0))
+            for c in kids:
                 if c.is_gap:
                     label = f"{'.'.join(map(str, m))}#{c.ordinal}"
-                    length = tt.gap_lengths[(m, c.ordinal)]
-                    want.append((label, synth.ratio_of(c), length, n + 1))
+                    want.append((label, synth.ratio_of(c), tt.length_of(c), n + 1))
     assert len(table.rows) == len(want)
-    for row, (label, ratio, length, depth) in zip(table.rows, want):
-        assert (row[0], row[3]) == (label, str(depth))
-        assert float(row[1]) == ratio
-        assert float(row[2]) == length
+    for row, (label, ratio, length, d) in zip(table.rows, want):
+        assert row == (label, f"{ratio:.17g}", f"{length:.17g}", str(d))
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["tasks"][0]["worst_residual"] == worst
+
+
+def _walk_levels_lengths(ratio, depth):
+    """The level-by-level word walk that lengths_from_ratio replaced: one
+    ratio_of per child of every mother."""
+    lengths = {(): 1.0}
+    gap_lengths = {}
+    for level in walk_levels(ratio.sys.layout(ratio.side), depth):
+        for m, kids in level:
+            base = lengths[m]
+            for seg in kids:
+                r = ratio.ratio_of(seg)
+                if seg.is_gap:
+                    if r < 0.0:
+                        raise NegativeGap(f"gap ratio {r!r} under {m}")
+                    gap_lengths[(seg.word, seg.ordinal)] = base * r
+                else:
+                    if r < 0.0 or not math.isfinite(r):
+                        raise ValueError(f"bad cylinder ratio {r!r} at {seg.word}")
+                    lengths[seg.word] = base * r
+    return lengths, gap_lengths
+
+
+def _outcome(fn):
+    """The items() lists of both tables, or the error raised."""
+    try:
+        lengths, gap_lengths = fn()
+    except (SftGeomError, ValueError) as e:
+        return type(e), str(e)
+    return list(lengths.items()), list(gap_lengths.items())
+
+
+def _assert_same_lengths(ratio, delta, pressure, depth):
+    def walked():
+        tt = lengths_from_ratio(ratio, delta, pressure, depth)
+        return tt.lengths, tt.gap_lengths
+
+    # equal keys, equal values (==), the same order, or the same error
+    assert _outcome(walked) == _outcome(lambda: _walk_levels_lengths(ratio, depth))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("side", ["u", "s"])
+def test_lengths_match_the_word_walk_on_builtins(name, side):
+    tt = builtin(name).side(side).realization
+    assert tt.depth == TABLE_DEPTH
+    _assert_same_lengths(tt.ratio, tt.delta, tt.pressure, TABLE_DEPTH)
+
+
+@st.composite
+def gapped_tables(draw):
+    """A primitive system with a gapped, scrambled layout on one side and a
+    ratio table of random positive ratios at window depth 1 to 3, one entry
+    sometimes missing or negative."""
+    k = draw(st.integers(2, 4))
+    A = [[int(draw(st.booleans())) for _ in range(k)] for _ in range(k)]
+    for a in range(k):
+        A[a][a] = 1
+        A[a][(a + 1) % k] = 1
+    side = draw(st.sampled_from(["u", "s"]))
+    entries = {}
+    for key in [None, *range(k)]:
+        if key is None:
+            kids = list(range(k))
+        else:
+            kids = [b for b in range(k) if (A[key][b] if side == "u" else A[b][key])]
+        kids = draw(st.permutations(kids))
+        row = [("cyl", kids[0])]
+        for b in kids[1:]:
+            if draw(st.booleans()):
+                row.append(("gap",))
+            row.append(("cyl", b))
+        entries[key] = tuple(row)
+    sys = build_sft(k, A, layouts={side: GapLayout(side, entries)})
+    wd = draw(st.integers(1, 3))
+    layout = sys.layout(side)
+    ratios = {}
+    for n in range(wd):
+        mothers = [()] if n == 0 else [w.symbols for w in enumerate_cylinders(sys, n, side)]
+        for m in mothers:
+            for seg in layout.ordered_children(m):
+                ratios[seg] = draw(st.floats(0.01, 1.0))
+    spoil = draw(st.sampled_from(["none", "none", "missing", "negative"]))
+    if spoil != "none":
+        seg = draw(st.sampled_from(sorted(ratios)))
+        if spoil == "missing":
+            del ratios[seg]
+        else:
+            ratios[seg] = -0.5
+    return RatioTable(sys, side, wd, ratios)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gapped_tables())
+def test_lengths_match_the_word_walk_on_generated_tables(table):
+    # every depth, so a spoiled entry is both just out of reach and needed
+    for depth in range(6):
+        _assert_same_lengths(table, 0.5, 0.0, depth)
 
 
 def _primary(word: Word):
