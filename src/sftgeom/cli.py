@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _stdsys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, Collection, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .builtins import BUILTIN_NAMES, Builtin, builtin
-from .cocycle import cocycle_gap_rows, constant_pair, pair_from_json, synthesize_ratio
+from .cocycle import MAX_EXPONENT, cocycle_gap_rows, constant_pair, pair_from_json, synthesize_ratio
 from .errors import ParseError, SftGeomError, UnknownBuiltin
 from .gibbs import GibbsMeasure, measure_scaling, potential_from_json, uniform_potential
 from .realize import (
@@ -122,34 +123,51 @@ def _dotted(symbols: Sequence[int]) -> str:
 
 
 class ReportTable(NamedTuple):
-    """A written report in memory: every cell already a string."""
+    """A report before it is written: raw cells, rendered by write_table.
+
+    `rows` is any sized, re-iterable collection of rows: a list, or a lazy
+    view such as `LazyRows` that makes its rows as it is iterated.
+    """
 
     version: str
     columns: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+    rows: Collection[tuple]
 
 
-def make_table(version: str, columns: Sequence[str], rows) -> ReportTable:
-    return ReportTable(
-        version,
-        tuple(columns),
-        tuple(tuple(_fmt(v) for v in row) for row in rows),
-    )
+class LazyRows:
+    """A sized, re-iterable view whose rows `make()` yields afresh."""
+
+    def __init__(self, size: int, make: Callable[[], Iterator[tuple]]) -> None:
+        self.size, self.make = size, make
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[tuple]:
+        return self.make()
+
+
+def make_table(version: str, columns: Sequence[str], rows: Collection[tuple]) -> ReportTable:
+    return ReportTable(version, tuple(columns), rows)
 
 
 def write_table(table: ReportTable, path: Union[str, Path], fmt: str) -> None:
-    path = Path(path)
-    if fmt == "csv":
-        lines = [f"# tables-version={table.version}", ",".join(table.columns)]
-        lines.extend(",".join(row) for row in table.rows)
-        _write_text(path, "\n".join(lines) + "\n")
-        return
-    obj = {
-        "tables_version": table.version,
-        "columns": list(table.columns),
-        "rows": [list(row) for row in table.rows],
-    }
-    _write_text(path, _render_json(obj) + "\n")
+    """Render and write the table one row at a time; every cell is written
+    as _fmt of its value (a JSON string in the json format)."""
+    with open(path, "w", newline="") as fh:
+        if fmt == "csv":
+            fh.write(f"# tables-version={table.version}\n{','.join(table.columns)}\n")
+            for row in table.rows:
+                fh.write(",".join(map(_fmt, row)) + "\n")
+            return
+        # _render_json of the whole table, keys in sorted order
+        fh.write(f'{{\n  "columns": {_render_json(list(table.columns), 1)},\n  "rows": [')
+        sep = "\n    "
+        for row in table.rows:
+            fh.write(sep + _render_json([_fmt(v) for v in row], 2))
+            sep = ",\n    "
+        fh.write("]" if sep == "\n    " else "\n  ]")
+        fh.write(f',\n  "tables_version": {_render_json(table.version, 1)}\n}}\n')
 
 
 def load_table(path: Union[str, Path]) -> ReportTable:
@@ -219,17 +237,13 @@ class _Ctx:
         return self.scn.tol if self.scn.tol is not None else DEFAULT_TOL[task]
 
 
-def _read_file(path: str, what: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as e:
-        raise ParseError(f"cannot read {what} file {path}: {e}") from None
-
-
 def _load_with(loader, path: str, what: str):
     """Read and decode one input file, folding any malformed-content
     failure into a ParseError so the runner can exit 2 cleanly."""
-    text = _read_file(path, what)
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise ParseError(f"cannot read {what} file {path}: {e}") from None
     try:
         return loader(text)
     except (ValueError, KeyError, TypeError) as e:
@@ -344,31 +358,18 @@ def _condition_rows(ctx: _Ctx):
             rows.extend(cylinder_gap_rows(spec, ctx.system))
     rows.extend(cylinder_cylinder_rows(ctx.measure))
     if ctx.b is not None:
+        depth = min(ctx.scn.depth, 8)
         for bs in (ctx.b.u, ctx.b.s):
-            if bs.pair is None:
-                continue
-            rows.extend(
-                cocycle_gap_rows(
-                    ctx.measure,
-                    bs.pair,
-                    bs.delta,
-                    bs.pressure,
-                    min(ctx.scn.depth, 8),
-                )
-            )
+            if bs.pair is not None:
+                rows.extend(cocycle_gap_rows(ctx.measure, bs.pair, bs.delta, bs.pressure, depth))
     return rows
 
 
 def _task_solenoid_check(ctx: _Ctx) -> TaskOutcome:
+    # Condition and transport rows alike are (label, lhs, rhs, residual).
     rows = _condition_rows(ctx)
     worst = max((r[3] for r in rows), default=0.0)
-    return _emit(
-        ctx,
-        "solenoid-check",
-        ("instance", "lhs", "rhs", "residual"),
-        [(r[0], r[1], r[2], r[3]) for r in rows],
-        worst,
-    )
+    return _emit(ctx, "solenoid-check", ("instance", "lhs", "rhs", "residual"), rows, worst)
 
 
 def _task_synthesize(ctx: _Ctx) -> TaskOutcome:
@@ -393,30 +394,43 @@ def _task_synthesize(ctx: _Ctx) -> TaskOutcome:
         raise ParseError("synthesize needs --delta for a non-builtin system")
     if pressure is None:
         pressure = 0.0
+    if not pressure / delta < MAX_EXPONENT:
+        raise ParseError(f"e^(pressure/delta) overflows at {pressure!r}/{delta!r}")
     synth = synthesize_ratio(ctx.measure, pair, delta, pressure, scn.depth)
-    walk, texts, rows = WindowWalk(synth), [], []
+    walk, depth = WindowWalk(synth), scn.depth
+    gaps = lambda state: sum(walk.moves[i][0] for i in walk.children(state))
+    # One row per node below the root and per gap above the last depth.  The
+    # census reads every state's children, so a bad ratio raises before the
+    # report is opened.
+    size = sum(
+        n * (bool(k) + (gaps(state) if k < depth else 0))
+        for k, level in enumerate(walk.census(depth))
+        for state, n in level.items()
+    )
+    texts = [_fmt(r) for _, _, r, _ in walk.moves]
     u = ctx.side == U_SIDE
     # A dotted word is its mother's with the new symbol at the deep end.
     dotted = lambda w, a: (f"{w}.{a}" if u else f"{a}.{w}") if w else str(a)
-    # Rows of one depth: each cylinder, then the gaps among its children.
-    for n, level in enumerate(walk.levels(scn.depth, "", dotted)):
-        texts += [_fmt(r) for _, _, r, _ in walk.moves[len(texts):]]
-        here, below = str(n), str(n + 1)
-        for label, base, state, made in level:
-            if n > 0:
-                rows.append((label, texts[made], base, here))
-            if n < scn.depth:
-                for i in walk.children(state):
-                    gap, key, r, _ = walk.moves[i]
-                    if gap:
-                        rows.append((f"{label}#{key}", texts[i], base * r, below))
+
+    def rows():
+        # Rows of one depth: each cylinder, then the gaps among its children.
+        for n, level in enumerate(walk.levels(depth, "", dotted)):
+            here, below = str(n), str(n + 1)
+            for label, base, state, made in level:
+                if n > 0:
+                    yield (label, texts[made], base, here)
+                if n < depth:
+                    for i in walk.children(state):
+                        gap, key, r, _ = walk.moves[i]
+                        if gap:
+                            yield (f"{label}#{key}", texts[i], base * r, below)
+
     worst = 0.0
     # Read states are the states of the mothers above the last depth.
     for span in (span for span in walk.spans if span is not None):
         worst = max(worst, abs(sum(walk.moves[i][2] for i in span) - 1.0))
-    return _emit(
-        ctx, "synthesize", ("descriptor", "ratio", "length", "depth"), rows, worst
-    )
+    columns = ("descriptor", "ratio", "length", "depth")
+    return _emit(ctx, "synthesize", columns, LazyRows(size, rows), worst)
 
 
 def _task_dimension(ctx: _Ctx) -> TaskOutcome:
@@ -450,13 +464,8 @@ def _task_eigenvalues(ctx: _Ctx) -> TaskOutcome:
         res = abs(lam_t / lam_m - 1.0)
         worst = max(worst, res)
         rows.append((_dotted(orb.representative), orb.period, lam_t, lam_m, res))
-    return _emit(
-        ctx,
-        "eigenvalues",
-        ("orbit", "period", "lambda_ratio", "lambda_measure", "residual"),
-        rows,
-        worst,
-    )
+    columns = ("orbit", "period", "lambda_ratio", "lambda_measure", "residual")
+    return _emit(ctx, "eigenvalues", columns, rows, worst)
 
 
 def _task_livsic(ctx: _Ctx) -> TaskOutcome:
@@ -467,23 +476,11 @@ def _task_livsic(ctx: _Ctx) -> TaskOutcome:
     rows = []
     worst = 0.0
     for orb, res in checked:
-        rows.append(
-            (
-                _dotted(orb.representative),
-                orb.period,
-                eigenvalue(tt_u, orb),
-                eigenvalue(tt_s, orb),
-                res,
-            )
-        )
+        lams = eigenvalue(tt_u, orb), eigenvalue(tt_s, orb)
+        rows.append((_dotted(orb.representative), orb.period, *lams, res))
         worst = max(worst, res)
-    return _emit(
-        ctx,
-        "livsic",
-        ("orbit", "period", "lambda_u", "lambda_s", "residual"),
-        rows,
-        worst,
-    )
+    columns = ("orbit", "period", "lambda_u", "lambda_s", "residual")
+    return _emit(ctx, "livsic", columns, rows, worst)
 
 
 def _task_dual(ctx: _Ctx) -> TaskOutcome:
@@ -613,6 +610,12 @@ def _scenario_from_args(ns: argparse.Namespace) -> Scenario:
         raise ParseError(f"--depth must be in 1..{MAX_DEPTH}")
     if not 1 <= ns.p_max <= MAX_P:
         raise ParseError(f"--p-max must be in 1..{MAX_P}")
+    if ns.delta is not None and not 0.0 < ns.delta < math.inf:
+        raise ParseError("--delta must be finite and positive")
+    if ns.pressure is not None and not math.isfinite(ns.pressure):
+        raise ParseError("--pressure must be finite")
+    if ns.tol is not None and not 0.0 <= ns.tol < math.inf:
+        raise ParseError("--tol must be finite and nonnegative")
     return Scenario(
         source=ns.source if ns.source is not None else ns.system,
         is_builtin=ns.source is not None,

@@ -45,6 +45,8 @@ from .sft import (
 # A synthesized child mass this close to (or past) the full unit interval
 # leaves no usable gap room.
 MIN_MASS_MARGIN = 1e-9
+# e^x is a finite float for every x below this.
+MAX_EXPONENT = 709.78
 
 # Identity tolerance for gap ratio tables (reciprocity and two-step
 # composition across stored entries).
@@ -234,6 +236,15 @@ def constant_pair(side: str) -> CocycleGapPair:
     return CocycleGapPair(constant_cocycle(side), constant_gap_ratios(side))
 
 
+def _mass_boost(pressure: float, delta: float) -> float:
+    """The factor e^(pressure/delta) on every synthesized cylinder ratio."""
+    if not delta > 0.0:
+        raise ValueError("delta must be positive")
+    if not pressure / delta < MAX_EXPONENT:
+        raise InadmissiblePair(f"e^(pressure/delta) is not finite at {pressure!r}/{delta!r}")
+    return math.exp(pressure / delta)
+
+
 def validate_cocycle(
     cocycle: MeasureLengthCocycle,
     g: GibbsMeasure,
@@ -248,11 +259,9 @@ def validate_cocycle(
     window-determined, so checking mothers up to the stabilization depth
     covers all of them.  Returns (ok, worst margin).
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    boost = _mass_boost(pressure, delta)
     sys, side = g.sys, cocycle.side
     inv = 1.0 / delta
-    boost = math.exp(pressure / delta)
     top = max(cocycle.depth, g.span - 1, 1)
     worst = math.inf
     for n in range(top + 1):
@@ -310,7 +319,7 @@ def synthesize_ratio(
         )
     layout = sys.layout(side)
     inv = 1.0 / delta
-    boost = math.exp(pressure / delta)
+    boost = _mass_boost(pressure, delta)
     ratios: dict[Seg, float] = {}
     for level in walk_levels(layout, wd):
         for m, kids in level:

@@ -203,6 +203,23 @@ class WindowWalk:
             level = [node for bucket in buckets for node in bucket]
         yield level
 
+    def census(self, depth: int) -> list[dict[int, int]]:
+        """Nodes per state at depths 0 to `depth`, each level's states in the
+        order `levels` first meets them.  Reads the children of every state
+        above the last level, in the order `levels` does."""
+        u, out = self.ratio.side == U_SIDE, [{0: 1}]
+        for _ in range(depth):
+            level: dict[int, int] = {}
+            for key in [None] if u else range(self.ratio.sys.k):
+                for state, n in out[-1].items():
+                    self.children(state)
+                    for i in self._ascending[state]:
+                        _, a, _, j = self.moves[i]
+                        if u or a == key:
+                            level[j] = level.get(j, 0) + n
+            out.append(level)
+        return out
+
 
 def lengths_from_ratio(
     ratio,

@@ -62,19 +62,20 @@ def test_tracer_installs_counts_and_restores():
 
 def test_synthesize_reads_ratios_per_window_state(tmp_path, capsys):
     """ratio_of is read once per window state and child, however deep the
-    report; the tracer's row count is the report's."""
-    reads = []
-    for depth in (6, 10):
-        out = tmp_path / f"depth-{depth}"
-        argv = ["run", "horseshoe", "synthesize", "--depth", str(depth), "--out", str(out)]
-        tracer = load_tracer().Tracer()
-        try:
-            tracer.install()
-            assert sftgeom.cli.main(argv) == 0
-            metrics = tracer.metrics()
-        finally:
-            tracer.uninstall()
-        reads.append(metrics["cocycle.ratio_of.calls"])
-        table = sftgeom.cli.load_table(out / "synthesize.csv")
-        assert metrics["cli.report.rows"] == len(table.rows) > 0
-    assert reads[0] == reads[1] > 0
+    report; the tracer's row count is the report's, in either format."""
+    for fmt in ("csv", "json"):
+        reads = []
+        for depth in (6, 10):
+            out = tmp_path / f"{fmt}-depth-{depth}"
+            argv = ["run", "horseshoe", "synthesize", "--depth", str(depth), "--out", str(out)]
+            tracer = load_tracer().Tracer()
+            try:
+                tracer.install()
+                assert sftgeom.cli.main([*argv, "--format", fmt]) == 0
+                metrics = tracer.metrics()
+            finally:
+                tracer.uninstall()
+            reads.append(metrics["cocycle.ratio_of.calls"])
+            table = sftgeom.cli.load_table(out / f"synthesize.{fmt}")
+            assert metrics["cli.report.rows"] == len(table.rows) > 0
+        assert reads[0] == reads[1] > 0

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import pytest
 
+from sftgeom import cli
 from sftgeom.builtins import builtin
 from sftgeom.cli import load_json, load_table, main, write_table
 from sftgeom.gibbs import markov_potential, potential_to_json
@@ -336,3 +338,41 @@ def test_untrustworthy_measure_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: Perron vector error bound")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--delta", "nan"),
+        ("--delta", "-1"),
+        ("--delta", "inf"),
+        ("--pressure", "nan"),
+        ("--pressure", "1e308"),
+        ("--tol", "nan"),
+        ("--tol", "-1"),
+    ],
+)
+def test_bad_numeric_flags_exit_2(tmp_path, capsys, flag, value):
+    argv = ("horseshoe", "synthesize", "--depth", "4", "--out", str(tmp_path))
+    assert run_cli(*argv, f"{flag}={value}") == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "synthesize.csv").exists()
+
+
+def test_failing_synthesis_walk_writes_no_report(tmp_path, monkeypatch, capsys):
+    """A bad ratio below the root raises before the report is opened."""
+    real = cli.synthesize_ratio
+
+    def with_negative_gap(*args):
+        table = real(*args)
+        ratios = dict(table.ratios)
+        gap = next(s for s in ratios if s.is_gap and len(s.word) == table.window_depth - 1)
+        ratios[gap] = -0.25
+        return dataclasses.replace(table, ratios=ratios)
+
+    monkeypatch.setattr(cli, "synthesize_ratio", with_negative_gap)
+    assert run_cli("horseshoe", "synthesize", "--depth", "6", "--out", str(tmp_path)) == 4
+    assert "gap ratio -0.25" in capsys.readouterr().err
+    summary = load_json(tmp_path / "summary.json")
+    assert summary["tasks"][0]["status"] == "inadmissible"
+    assert not list(tmp_path.glob("synthesize.*"))

@@ -195,6 +195,17 @@ def test_validate_cocycle_rejects_nonpositive_delta(uniform):
         validate_cocycle(constant_cocycle("u"), uniform, 0.0, 0.0)
 
 
+def test_nan_delta_and_overflowing_boost_raise(uniform):
+    with pytest.raises(ValueError):
+        validate_cocycle(constant_cocycle("u"), uniform, math.nan, 0.0)
+    with pytest.raises(ValueError):
+        synthesize_ratio(uniform, constant_pair("u"), math.nan, 0.0, 8)
+    # e^(pressure/delta) is not a float: a typed error, not OverflowError
+    for pressure in (1e308, math.nan):
+        with pytest.raises(InadmissiblePair):
+            synthesize_ratio(uniform, constant_pair("u"), DIM_THIRD, pressure, 8)
+
+
 def test_synthesis_middle_third(uniform):
     synth = synthesize_ratio(uniform, constant_pair("u"), DIM_THIRD, 0.0, 8)
     assert abs(synth.ratio_of(cyl((0,))) - 1.0 / 3.0) < 1e-15
