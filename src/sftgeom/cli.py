@@ -394,8 +394,8 @@ def _task_synthesize(ctx: _Ctx) -> TaskOutcome:
         raise ParseError("synthesize needs --delta for a non-builtin system")
     if pressure is None:
         pressure = 0.0
-    if not pressure / delta < MAX_EXPONENT:
-        raise ParseError(f"e^(pressure/delta) overflows at {pressure!r}/{delta!r}")
+    if not abs(pressure / delta) < MAX_EXPONENT:
+        raise ParseError(f"e^(pressure/delta) is out of range at {pressure!r}/{delta!r}")
     synth = synthesize_ratio(ctx.measure, pair, delta, pressure, scn.depth)
     walk, depth = WindowWalk(synth), scn.depth
     gaps = lambda state: sum(walk.moves[i][0] for i in walk.children(state))

@@ -39,13 +39,12 @@ from .sft import (
     drop_deep,
     enumerate_cylinders,
     pair_value,
-    walk_levels,
 )
 
 # A synthesized child mass this close to (or past) the full unit interval
 # leaves no usable gap room.
 MIN_MASS_MARGIN = 1e-9
-# e^x is a finite float for every x below this.
+# e^x is a finite, nonzero float for every |x| below this.
 MAX_EXPONENT = 709.78
 
 # Identity tolerance for gap ratio tables (reciprocity and two-step
@@ -237,11 +236,12 @@ def constant_pair(side: str) -> CocycleGapPair:
 
 
 def _mass_boost(pressure: float, delta: float) -> float:
-    """The factor e^(pressure/delta) on every synthesized cylinder ratio."""
+    """The factor e^(pressure/delta) on every synthesized cylinder ratio;
+    cocycle_gap_rows divides it back out."""
     if not delta > 0.0:
         raise ValueError("delta must be positive")
-    if not pressure / delta < MAX_EXPONENT:
-        raise InadmissiblePair(f"e^(pressure/delta) is not finite at {pressure!r}/{delta!r}")
+    if not abs(pressure / delta) < MAX_EXPONENT:
+        raise InadmissiblePair(f"e^(pressure/delta) is out of range at {pressure!r}/{delta!r}")
     return math.exp(pressure / delta)
 
 
@@ -265,8 +265,7 @@ def validate_cocycle(
     top = max(cocycle.depth, g.span - 1, 1)
     worst = math.inf
     for n in range(top + 1):
-        mothers = [w.symbols for w in enumerate_cylinders(sys, n, side)] if n else [()]
-        for m in mothers:
+        for m in ([w.symbols for w in enumerate_cylinders(sys, n, side)] if n else [()]):
             nu_m = 1.0 if not m else g.measure(m)
             if nu_m <= 0.0:
                 continue
@@ -321,14 +320,14 @@ def synthesize_ratio(
     inv = 1.0 / delta
     boost = _mass_boost(pressure, delta)
     ratios: dict[Seg, float] = {}
-    for level in walk_levels(layout, wd):
-        for m, kids in level:
+    for n in range(wd):
+        for m in ([w.symbols for w in enumerate_cylinders(sys, n, side)] if n else [()]):
             nu_m = 1.0 if not m else g.measure(m)
             if nu_m <= 0.0:
                 continue
             mass = 0.0
             gaps: list[Seg] = []
-            for seg in kids:
+            for seg in layout.ordered_children(m):
                 if seg.is_gap:
                     gaps.append(seg)
                     continue

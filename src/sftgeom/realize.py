@@ -42,7 +42,6 @@ from .sft import (
     opposite,
     periodic_orbits,
     stabilized,
-    walk_levels,
     window_transitions,
 )
 
@@ -134,7 +133,8 @@ class TrainTrackRealization:
 
 
 class WindowWalk:
-    """The tree of one side of a ratio table, walked by window state.
+    """The tree of one side of a ratio source (a RatioTable, or anything
+    with its sys, side, window_depth and ratio_of), walked by window state.
 
     A node's state is its deep-end window of min(len, window_depth - 1)
     symbols (one at least, below the root): it fixes each child's ratio
@@ -271,10 +271,10 @@ def lengths_from_ratio(
 def additivity_defect(tt: TrainTrackRealization) -> float:
     """Worst gap between a mother's length and the sum of its children."""
     worst = 0.0
-    for level in walk_levels(tt.sys.layout(tt.side), tt.depth):
-        for m, kids in level:
-            total = sum(tt.length_of(seg) for seg in kids)
-            worst = max(worst, abs(tt.lengths[m] - total))
+    for m, length in tt.lengths.items():
+        if len(m) < tt.depth:
+            kids = tt.sys.layout(tt.side).ordered_children(m)
+            worst = max(worst, abs(length - sum(map(tt.length_of, kids))))
     return worst
 
 

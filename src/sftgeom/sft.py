@@ -517,23 +517,6 @@ def window_transitions(
     return windows, moves
 
 
-def walk_levels(
-    layout: GapLayout, depth: int
-) -> Iterator[list[tuple[Symbols, list[Seg]]]]:
-    """The tree of `layout`, one level at a time, down to mothers of depth
-    `depth - 1`.
-
-    Each level is the list of (mother, ordered children) pairs for the
-    mothers of one depth, in lexicographic order (the order of
-    enumerate_cylinders).  Only the current level is held.
-    """
-    row: list[Symbols] = [()]
-    for _ in range(depth):
-        level = [(m, layout.ordered_children(m)) for m in row]
-        yield level
-        row = sorted(c.word for _, kids in level for c in kids if not c.is_gap)
-
-
 def mother(w: Word, i: int = 1) -> Word:
     """Drop the i deepest symbols (last for "u" words, first for "s")."""
     if i < 0:

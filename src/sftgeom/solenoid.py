@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Mapping, NamedTuple, Optional, Union
+from itertools import combinations, islice
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 from .errors import (
     MismatchedSystems,
@@ -23,6 +23,7 @@ from .errors import (
     WordTooShort,
 )
 from .gibbs import AdmissiblePair, GibbsMeasure, extended_scaling
+from .realize import WindowWalk
 from .sft import (
     BoundaryData,
     GapLayout,
@@ -277,6 +278,8 @@ def measure_solenoid(g: GibbsMeasure, psi: Word, xi: Word, side: str) -> float:
     mw = drop_deep(psi.symbols, side)
     if drop_deep(xi.symbols, side) != mw or psi.deep_symbol == xi.deep_symbol:
         raise NotInDomain("words are not distinct siblings")
+    if not (g.sys.is_admissible(psi.symbols) and g.sys.is_admissible(xi.symbols)):
+        raise NotInDomain("sibling words must be admissible")
     if g.sys.has_layout(side):
         layout = g.sys.layout(side)
         segs = layout.ordered_children(mw)
@@ -305,18 +308,12 @@ def _as_side_seg(x: Union[Word, Seg], side: str) -> Seg:
     return x
 
 
-def _chain_segs(spec: SolenoidSpec, layout: GapLayout, mw: Symbols) -> list[Seg]:
-    segs = layout.ordered_children(mw)
-    if spec.domain_kind == "leaf-leaf":
-        segs = [s for s in segs if not s.is_gap]
-    return segs
-
-
 def _mother_over_child(
     spec: SolenoidSpec, layout: GapLayout, mw: Symbols, child: Seg
 ) -> float:
     """size(mother)/size(child) summed through the sibling chain."""
-    chain = _chain_segs(spec, layout, mw)
+    leaf_gap = spec.domain_kind == "leaf-gap"
+    chain = [s for s in layout.ordered_children(mw) if leaf_gap or not s.is_gap]
     try:
         s = chain.index(child)
     except ValueError:
@@ -521,28 +518,37 @@ def check_cylinder_cylinder(
 # equivalence checks
 
 
-def _mother_chain_levels(layout: GapLayout, steps, depth: int):
-    """Values telescoped down the mother chains of the words of length
-    2..depth, yielded one level ({word: values}) at a time.
+class _Source(NamedTuple):
+    """A ratio source for realize.WindowWalk, read only at the window
+    states a walk reaches: primary cylinders 1, gaps 0 (the checks compare
+    cylinders), any other cylinder child_over_mother(mother word, child)."""
 
-    Every value is 1 on the primary cylinders, and a word's value under
-    `step` is step(value of its mother, mother, word segment).  Only two
-    levels are alive at once.
-    """
-    level = {w: (1.0,) * len(steps) for w in layout.cylinder_children(())}
-    for _ in range(depth - 1):
-        level = {
-            c.word: tuple(step(v, m, c) for step, v in zip(steps, vals))
-            for m, vals in level.items()
-            for c in layout.ordered_children(m)
-            if not c.is_gap
-        }
-        yield level
+    sys: SftSystem
+    side: str
+    window_depth: int
+    child_over_mother: Callable[[Symbols, Seg], float]
+
+    def ratio_of(self, seg: Seg) -> float:
+        if seg.is_gap:
+            return 0.0
+        mw = drop_deep(seg.word, self.side)
+        return self.child_over_mother(mw, seg) if mw else 1.0
 
 
-def _size_step(spec: SolenoidSpec, layout: GapLayout):
-    """size(word)/size(primary cylinder) from the mother's value."""
-    return lambda v, m, c: v / _mother_over_child(spec, layout, m, c)
+def _size_source(spec: SolenoidSpec, sys: SftSystem) -> _Source:
+    """size(child)/size(mother) under the spec, at its stabilization depth."""
+    layout = sys.layout(spec.side)
+    size = lambda m, c: 1.0 / _mother_over_child(spec, layout, m, c)
+    return _Source(sys, spec.side, spec.stabilization, size)
+
+
+def _size_levels(sources: list[_Source], depth: int):
+    """The words of length 2..depth, one level at a time in
+    enumerate_cylinders order, each as a tuple of its size relative to its
+    primary cylinder under every source."""
+    walks = [WindowWalk(src).levels(depth, None, lambda label, a: None) for src in sources]
+    for levels in islice(zip(*walks), 2, None):
+        yield [tuple(node[1] for node in nodes) for nodes in zip(*levels)]
 
 
 def bounded_equivalence(
@@ -558,11 +564,10 @@ def bounded_equivalence(
         raise MismatchedSystems("solenoid specs live on different sides")
     if n_max < 3:
         raise ValueError("need depth at least 3 to see the growth trend")
-    layout = sys.layout(spec1.side)
-    steps = [_size_step(spec, layout) for spec in (spec1, spec2)]
+    sources = [_size_source(spec, sys) for spec in (spec1, spec2)]
     per_depth = [
-        max(abs(math.log(s1) - math.log(s2)) for s1, s2 in level.values())
-        for level in _mother_chain_levels(layout, steps, n_max + 1)
+        max(abs(math.log(s1) - math.log(s2)) for s1, s2 in level)
+        for level in _size_levels(sources, n_max + 1)
     ]
     c_full = max(per_depth)
     c_earlier = max(per_depth[: n_max - 2])
@@ -580,18 +585,17 @@ def bounded_solenoid_class_check(
     ratio function, after removing the pressure drift. Bounded exactly
     when the realization carries the (delta, pressure) Gibbs class."""
     side = spec.side
-    layout = g.sys.layout(side)
-
-    def rho_step(v: float, m: Symbols, c: Seg) -> float:
-        # extended_scaling against the pivot leaf, one conditional per step
-        if side == U_SIDE:
-            return v * g.append_conditional(m, c.word[-1])
-        return v * g.prepend_conditional(c.word[0], m)
-
-    steps = [_size_step(spec, layout), rho_step]
+    # extended_scaling against the pivot leaf, one window conditional per
+    # step; a conditional reads the mother's last g.block_len symbols
+    cond = (
+        (lambda m, c: g.append_conditional(m, c.word[-1]))
+        if side == U_SIDE
+        else (lambda m, c: g.prepend_conditional(c.word[0], m))
+    )
+    sources = [_size_source(spec, g.sys), _Source(g.sys, side, g.block_len + 1, cond)]
     worst = 0.0
-    for n, level in enumerate(_mother_chain_levels(layout, steps, n_max), start=2):
-        for s, rho in level.values():
+    for n, level in enumerate(_size_levels(sources, n_max), start=2):
+        for s, rho in level:
             val = delta * math.log(s) - math.log(rho) - (n - 1) * pressure
             worst = max(worst, abs(val))
     return worst

@@ -348,6 +348,7 @@ def test_untrustworthy_measure_exits_4(tmp_path, capsys):
         ("--delta", "inf"),
         ("--pressure", "nan"),
         ("--pressure", "1e308"),
+        ("--pressure", "-600"),
         ("--tol", "nan"),
         ("--tol", "-1"),
     ],

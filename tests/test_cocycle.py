@@ -4,11 +4,13 @@ import math
 
 import pytest
 
+from sftgeom.builtins import builtin
 from sftgeom.cocycle import (
     CocycleGapPair,
     GapRatios,
     MeasureLengthCocycle,
     check_cocycle_gap_property,
+    cocycle_gap_rows,
     constant_cocycle,
     constant_gap_ratios,
     constant_pair,
@@ -204,6 +206,15 @@ def test_nan_delta_and_overflowing_boost_raise(uniform):
     for pressure in (1e308, math.nan):
         with pytest.raises(InadmissiblePair):
             synthesize_ratio(uniform, constant_pair("u"), DIM_THIRD, pressure, 8)
+
+
+def test_underflowing_boost_raises_a_typed_error():
+    # e^(pressure/delta) underflows to 0 and e^(-pressure/delta), which the
+    # round trip divides by, overflows: a typed error, not OverflowError
+    toy = builtin("da-attractor-toy")
+    with pytest.raises(InadmissiblePair):
+        cocycle_gap_rows(toy.measure, toy.s.pair, 0.5, -1000.0, 4)
+    assert cocycle_gap_rows(toy.measure, toy.s.pair, 0.5, -300.0, 4)
 
 
 def test_synthesis_middle_third(uniform):

@@ -1,0 +1,74 @@
+"""Source hygiene of the package modules (`__init__.py` aside): every
+imported name is used, and every private module-level name is referenced
+somewhere in `src/`.  A helper left behind by a half-finished deletion
+fails one of the two."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted(p for p in (SRC / "sftgeom").glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Names bound by import statements anywhere in the module, with a line."""
+    out: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return out
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level private names (not dunders) with their defining line."""
+    out: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = _tree(path)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted(name for name in _imported(tree) if name not in used)
+    assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_referenced(path):
+    lines = [
+        (src, i, line)
+        for src in sorted(SRC.rglob("*.py"))
+        for i, line in enumerate(src.read_text(encoding="utf-8").splitlines(), start=1)
+    ]
+    dead = []
+    for name, lineno in _private_definitions(_tree(path)).items():
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(
+            word.search(line) and (src, i) != (path, lineno) for src, i, line in lines
+        ):
+            dead.append(name)
+    assert dead == [], f"{path.name} defines private names nothing references: {dead}"

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sftgeom.builtins import builtin
 from sftgeom.errors import (
     MismatchedSystems,
     MissingPairValue,
@@ -155,6 +156,13 @@ def test_measure_solenoid_domain_errors(markov):
         measure_solenoid(markov, Word((0, 0), "u"), Word((0, 1, 1), "u"), "u")
     with pytest.raises(NotInDomain):
         measure_solenoid(markov, Word((0, 0), "s"), Word((1, 0), "s"), "u")
+
+
+def test_measure_solenoid_rejects_inadmissible_words():
+    golden = builtin("golden-anosov").measure
+    for psi, xi in (((1, 1), (1, 0)), ((1, 0), (1, 1))):
+        with pytest.raises(NotInDomain):
+            measure_solenoid(golden, Word(psi, "u"), Word(xi, "u"), "u")
 
 
 def test_measure_solenoid_layout_rules():

@@ -20,24 +20,26 @@ from sftgeom.cocycle import (
     constant_pair,
     synthesize_ratio,
 )
-from sftgeom.errors import NegativeGap, SftGeomError
+from sftgeom.errors import MissingPairValue, NegativeGap, SftGeomError
 from sftgeom.gibbs import (
     AdmissiblePair,
     GibbsMeasure,
     extended_scaling,
     markov_potential,
+    potential_from_table,
     uniform_potential,
 )
-from sftgeom.realize import RatioTable, lengths_from_ratio
+from sftgeom.realize import RatioTable, WindowWalk, lengths_from_ratio
 from sftgeom.sft import (
     GapLayout,
+    Seg,
     Word,
     build_sft,
     cyl,
+    deep_extend,
     drop_deep,
     enumerate_cylinders,
     save_system,
-    walk_levels,
 )
 from sftgeom.solenoid import (
     bounded_equivalence,
@@ -114,11 +116,17 @@ def test_window_ratios_match_the_per_word_formula_markov(horse, rows):
 def test_walk_levels_follow_enumeration_order(toy):
     for side in ("u", "s"):
         layout = toy.sys.layout(side)
-        for n, level in enumerate(walk_levels(layout, 5)):
-            mothers = [m for m, _ in level]
+        walk = WindowWalk(toy.side(side).realization.ratio)
+        extend = lambda w, a: deep_extend(w, a, side)
+        for n, level in enumerate(walk.levels(5, (), extend)):
             want = [()] if n == 0 else [w.symbols for w in enumerate_cylinders(toy.sys, n, side)]
-            assert mothers == want
-            assert all(kids == layout.ordered_children(m) for m, kids in level)
+            assert [label for label, _, _, _ in level] == want
+            for label, _, state, _ in level:
+                kids = [
+                    Seg("gap", label, key) if is_gap else cyl(extend(label, key))
+                    for is_gap, key, _, _ in map(walk.moves.__getitem__, walk.children(state))
+                ]
+                assert kids == layout.ordered_children(label)
 
 
 def _gapped_full_shift(k: int):
@@ -194,12 +202,23 @@ def test_synthesize_report_matches_the_library(source, side, depth, tmp_path):
     assert summary["tasks"][0]["worst_residual"] == worst
 
 
+def _walk_levels(layout, depth):
+    """The word-by-word tree walk WindowWalk replaced: (mother, ordered
+    children) pairs for the mothers of depth 0 to depth - 1, one level at a
+    time, each level in enumerate_cylinders order."""
+    row = [()]
+    for _ in range(depth):
+        level = [(m, layout.ordered_children(m)) for m in row]
+        yield level
+        row = sorted(c.word for _, kids in level for c in kids if not c.is_gap)
+
+
 def _walk_levels_lengths(ratio, depth):
     """The level-by-level word walk that lengths_from_ratio replaced: one
     ratio_of per child of every mother."""
     lengths = {(): 1.0}
     gap_lengths = {}
-    for level in walk_levels(ratio.sys.layout(ratio.side), depth):
+    for level in _walk_levels(ratio.sys.layout(ratio.side), depth):
         for m, kids in level:
             base = lengths[m]
             for seg in kids:
@@ -241,11 +260,10 @@ def test_lengths_match_the_word_walk_on_builtins(name, side):
     _assert_same_lengths(tt.ratio, tt.delta, tt.pressure, TABLE_DEPTH)
 
 
-@st.composite
-def gapped_tables(draw):
-    """A primitive system with a gapped, scrambled layout on one side and a
-    ratio table of random positive ratios at window depth 1 to 3, one entry
-    sometimes missing or negative."""
+def _draw_gapped_system(draw, gapped):
+    """A primitive system on 2 to 4 symbols with a scrambled layout on one
+    side; gapped(key) says whether a gap goes between two children of the
+    layout row `key`.  Returns the system and the side."""
     k = draw(st.integers(2, 4))
     A = [[int(draw(st.booleans())) for _ in range(k)] for _ in range(k)]
     for a in range(k):
@@ -261,12 +279,16 @@ def gapped_tables(draw):
         kids = draw(st.permutations(kids))
         row = [("cyl", kids[0])]
         for b in kids[1:]:
-            if draw(st.booleans()):
+            if gapped(key):
                 row.append(("gap",))
             row.append(("cyl", b))
         entries[key] = tuple(row)
-    sys = build_sft(k, A, layouts={side: GapLayout(side, entries)})
-    wd = draw(st.integers(1, 3))
+    return build_sft(k, A, layouts={side: GapLayout(side, entries)}), side
+
+
+def _draw_window_ratios(draw, sys, side, wd):
+    """Random positive ratios for the children of every mother shallower
+    than wd."""
     layout = sys.layout(side)
     ratios = {}
     for n in range(wd):
@@ -274,6 +296,17 @@ def gapped_tables(draw):
         for m in mothers:
             for seg in layout.ordered_children(m):
                 ratios[seg] = draw(st.floats(0.01, 1.0))
+    return ratios
+
+
+@st.composite
+def gapped_tables(draw):
+    """A primitive system with a gapped, scrambled layout on one side and a
+    ratio table of random positive ratios at window depth 1 to 3, one entry
+    sometimes missing or negative."""
+    sys, side = _draw_gapped_system(draw, lambda key: draw(st.booleans()))
+    wd = draw(st.integers(1, 3))
+    ratios = _draw_window_ratios(draw, sys, side, wd)
     spoil = draw(st.sampled_from(["none", "none", "missing", "negative"]))
     if spoil != "none":
         seg = draw(st.sampled_from(sorted(ratios)))
@@ -360,3 +393,83 @@ def test_criterion_7_pairs_at_depth_twelve(toy):
     assert bounded and abs(c_full - 0.18232155679395845) <= 1e-9
     bounded, c_full = bounded_equivalence(bern, mark, toy.sys, 12)
     assert not bounded and abs(c_full - 7.05343997882543) <= 1e-9
+
+
+def test_bounded_equivalence_reads_each_window_state_once(toy, monkeypatch):
+    """The mother chains are walked by window state: past the depth where
+    every state is reached, a deeper check expands no more layout rows."""
+    plain, kappa, bern, mark, _ = _toy_specs(toy)
+    calls = []
+    real = GapLayout.ordered_children
+    monkeypatch.setattr(GapLayout, "ordered_children", lambda self, w: calls.append(w) or real(self, w))
+
+    def count(n_max):
+        calls.clear()
+        for a, b in ((plain, kappa), (bern, mark)):
+            bounded_equivalence(a, b, toy.sys, n_max)
+        return len(calls)
+
+    assert count(12) == count(6)
+
+
+def _spec_outcome(fn):
+    """The value of fn(), or MissingPairValue when a pair value is missing."""
+    try:
+        return fn()
+    except MissingPairValue:
+        return MissingPairValue
+
+
+@st.composite
+def gapped_specs(draw):
+    """A primitive system with a gapped, scrambled layout on one side, the
+    side's leaf-gap realization spec from random ratios, and leaf-leaf
+    from_gibbs specs of two measures (potential spans 1 to 3).  The root
+    row has a gap between every two primary cylinders, because the
+    pointwise references read the root's pair values and the checks do not;
+    a deeper row may leave two siblings adjacent, which a leaf-leaf spec
+    does not price (MissingPairValue)."""
+    dense = draw(st.booleans())
+    sys, side = _draw_gapped_system(
+        draw, lambda key: dense or key is None or draw(st.booleans())
+    )
+    wd = draw(st.integers(1, 3))
+    ratios = _draw_window_ratios(draw, sys, side, wd)
+    tt = lengths_from_ratio(RatioTable(sys, side, wd, ratios), 0.5, 0.0, wd + 1)
+    measures = []
+    for span in draw(st.lists(st.integers(1, 3), min_size=2, max_size=2)):
+        if span == 1:
+            measures.append(GibbsMeasure(sys, uniform_potential(sys)))
+            continue
+        words = [w.symbols for w in enumerate_cylinders(sys, span, "u")]
+        phi = {w: draw(st.floats(-1.0, 1.0)) for w in words}
+        measures.append(GibbsMeasure(sys, potential_from_table(sys, phi)))
+    specs = [from_realization(tt)] + [from_gibbs(g, side) for g in measures]
+    return sys, specs, measures
+
+
+@settings(max_examples=30, deadline=None)
+@given(gapped_specs(), st.data())
+def test_bounded_checks_match_pointwise_on_generated_systems(case, data):
+    sys, specs, measures = case
+    assert specs[0].domain_kind == "leaf-gap"
+    assert all(spec.domain_kind == "leaf-leaf" for spec in specs[1:])
+    n_max = data.draw(st.integers(3, 5))
+    a, b = data.draw(st.permutations(specs))[:2]
+    got = _spec_outcome(lambda: bounded_equivalence(a, b, sys, n_max))
+    want = _spec_outcome(lambda: _pointwise_equivalence(a, b, sys, n_max))
+    if want is MissingPairValue:
+        assert got is MissingPairValue
+    else:
+        assert got[0] == want[0]
+        assert abs(got[1] - want[1]) <= 1e-12
+    spec = data.draw(st.sampled_from(specs))
+    g = data.draw(st.sampled_from(measures))
+    delta = data.draw(st.floats(0.3, 1.0))
+    pressure = data.draw(st.floats(-0.5, 0.5))
+    got = _spec_outcome(lambda: bounded_solenoid_class_check(spec, g, delta, pressure, n_max))
+    want = _spec_outcome(lambda: _pointwise_class_check(spec, g, delta, pressure, n_max))
+    if want is MissingPairValue:
+        assert got is MissingPairValue
+    else:
+        assert abs(got - want) <= 1e-12
