@@ -38,6 +38,7 @@ from .errors import (
     GapOnDualSide,
     InadmissibleBoundaryWord,
     InadmissiblePair,
+    LengthUnderflow,
     MalformedInstance,
     MismatchedSystems,
     MissingBoundaryData,

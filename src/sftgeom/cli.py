@@ -26,7 +26,7 @@ from typing import Callable, Collection, Iterator, NamedTuple, Optional, Sequenc
 
 from .builtins import BUILTIN_NAMES, Builtin, builtin
 from .cocycle import MAX_EXPONENT, cocycle_gap_rows, constant_pair, pair_from_json, synthesize_ratio
-from .errors import ParseError, SftGeomError, UnknownBuiltin
+from .errors import LengthUnderflow, ParseError, SftGeomError, UnknownBuiltin
 from .gibbs import GibbsMeasure, measure_scaling, potential_from_json, uniform_potential
 from .realize import (
     WindowWalk,
@@ -400,11 +400,15 @@ def _task_synthesize(ctx: _Ctx) -> TaskOutcome:
     walk, depth = WindowWalk(synth), scn.depth
     gaps = lambda state: sum(walk.moves[i][0] for i in walk.children(state))
     # One row per node below the root and per gap above the last depth.  The
-    # census reads every state's children, so a bad ratio raises before the
-    # report is opened.
+    # census reads every state's children, so a bad ratio or an underflowing
+    # length raises before the report is opened.
+    try:
+        census = walk.census(depth)
+    except LengthUnderflow as e:
+        raise ParseError(f"{e} (pressure/delta {pressure!r}/{delta!r})") from None
     size = sum(
         n * (bool(k) + (gaps(state) if k < depth else 0))
-        for k, level in enumerate(walk.census(depth))
+        for k, level in enumerate(census)
         for state, n in level.items()
     )
     texts = [_fmt(r) for _, _, r, _ in walk.moves]

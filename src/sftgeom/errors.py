@@ -66,6 +66,11 @@ class NegativeGap(SftGeomError):
     """A length assignment would make some gap non-positive."""
 
 
+class LengthUnderflow(SftGeomError):
+    """A length that is a product of positive ratios falls below the
+    normal float range."""
+
+
 class NoRoot(SftGeomError):
     """The pressure equation has no root in the admissible range."""
 

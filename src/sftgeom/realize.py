@@ -15,12 +15,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from sys import float_info
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import (
     GapOnDualSide,
+    LengthUnderflow,
     MismatchedSystems,
     MissingPairValue,
     NegativeGap,
@@ -206,18 +208,36 @@ class WindowWalk:
     def census(self, depth: int) -> list[dict[int, int]]:
         """Nodes per state at depths 0 to `depth`, each level's states in the
         order `levels` first meets them.  Reads the children of every state
-        above the last level, in the order `levels` does."""
-        u, out = self.ratio.side == U_SIDE, [{0: 1}]
-        for _ in range(depth):
+        above the last level, in the order `levels` does.
+
+        Raises LengthUnderflow when a product of positive ratios, a node's
+        length or that of a gap under a node above the last level, falls
+        below the normal float range.  A state's least such length is exact,
+        as rounding is monotone: the least base * r is the least base times r.
+        """
+        u, out, least = self.ratio.side == U_SIDE, [{0: 1}], {0: 1.0}
+        for n in range(depth):
             level: dict[int, int] = {}
             for key in [None] if u else range(self.ratio.sys.k):
-                for state, n in out[-1].items():
+                for state, count in out[-1].items():
                     self.children(state)
                     for i in self._ascending[state]:
                         _, a, _, j = self.moves[i]
                         if u or a == key:
-                            level[j] = level.get(j, 0) + n
+                            level[j] = level.get(j, 0) + count
             out.append(level)
+            below: dict[int, float] = {}
+            low = math.inf
+            for state, base in least.items():
+                for i in self.spans[state]:
+                    gap, _, r, j = self.moves[i]
+                    if r > 0.0:
+                        low = min(low, base * r)
+                        if not gap:
+                            below[j] = min(below.get(j, math.inf), base * r)
+            if low < float_info.min:
+                raise LengthUnderflow(f"length {low!r} at depth {n + 1} is below the float range")
+            least = below
         return out
 
 
@@ -246,6 +266,7 @@ def lengths_from_ratio(
     lengths: dict[Symbols, float] = {(): 1.0}
     gap_lengths: dict[tuple[Symbols, int], float] = {}
     walk = WindowWalk(ratio)
+    walk.census(depth)  # raises LengthUnderflow before any length is stored
     extend = (lambda w, a: w + (a,)) if side == U_SIDE else (lambda w, a: (a,) + w)
     for level in islice(walk.levels(depth, (), extend), depth):
         for m, base, state, _ in level:
@@ -332,11 +353,6 @@ def hausdorff_dimension(x) -> float:
     return dimension_report(x).delta
 
 
-def _periodic_deep_word(rep: Symbols, length: int, side: str) -> Symbols:
-    reps = rep * (length // len(rep) + 2)
-    return reps[:length] if side == U_SIDE else reps[-length:]
-
-
 def eigenvalue(tt: TrainTrackRealization, orbit: PeriodicOrbit) -> float:
     """Expansion factor of the periodic point under one period, from lengths.
 
@@ -346,19 +362,19 @@ def eigenvalue(tt: TrainTrackRealization, orbit: PeriodicOrbit) -> float:
     rep, p = orbit.representative, orbit.period
     if not tt.sys.is_admissible(rep + rep):
         raise NotInDomain(f"orbit word {rep} is not admissible")
-    src = _ratio_source(tt)
+    src, anchor = _ratio_source(tt), 0 if tt.side == U_SIDE else -1
     base = tt.window_depth + p + 2
     prod = 1.0
     for m in range(base + 1, base + p + 1):
-        prod *= src.ratio_of(cyl(_periodic_deep_word(rep, m, tt.side)))
+        prod *= src.ratio_of(cyl(_cyclic_window(rep, anchor, m, tt.side)))
     return 1.0 / prod
 
 
 def _cyclic_window(rep: Symbols, anchor: int, length: int, side: str) -> Symbols:
-    p = len(rep)
-    if side == U_SIDE:
-        return tuple(rep[(anchor + t) % p] for t in range(length))
-    return tuple(rep[(anchor - (length - 1) + t) % p] for t in range(length))
+    """The `length` symbols of the periodic word rep^Z that start at `anchor`
+    ("u") or end there ("s")."""
+    start = (anchor if side == U_SIDE else anchor - length + 1) % len(rep)
+    return (rep * ((start + length) // len(rep) + 1))[start : start + length]
 
 
 def eigenvalue_via_measure(

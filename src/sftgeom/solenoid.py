@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Callable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     MismatchedSystems,
@@ -27,12 +27,14 @@ from .realize import WindowWalk
 from .sft import (
     BoundaryData,
     GapLayout,
+    SIDES,
     Seg,
     SftSystem,
     Symbols,
     U_SIDE,
     Word,
     deep_extend,
+    deep_window_of,
     drop_deep,
     enumerate_cylinders,
     opposite,
@@ -43,6 +45,10 @@ from .sft import (
 )
 
 PairKey = tuple[Seg, Seg]
+
+
+def _is_ratio(v: float) -> bool:
+    return v > 0 and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,10 @@ class SolenoidSpec:
     def __post_init__(self) -> None:
         if self.domain_kind not in ("leaf-leaf", "leaf-gap"):
             raise ValueError(f"unknown domain kind {self.domain_kind!r}")
+        if self.side not in SIDES:
+            raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
+        if self.stabilization < 1:
+            raise ValueError(f"stabilization must be at least 1, got {self.stabilization}")
 
     def sigma(self, a: Seg, b: Seg) -> float:
         """Ratio of segment a to segment b."""
@@ -84,7 +94,7 @@ class SolenoidSpec:
     def validate(self) -> list[str]:
         problems = []
         for (a, b), v in self.values.items():
-            if not v > 0 or not math.isfinite(v):
+            if not _is_ratio(v):
                 problems.append(f"ratio for ({a}, {b}) is not a positive float")
             elif not self.v_min - 1e-12 <= v <= self.v_max + 1e-12:
                 problems.append(f"ratio for ({a}, {b}) escapes the recorded range")
@@ -95,46 +105,34 @@ class SolenoidSpec:
         return problems
 
 
-def _deep_agreement(side: str, w1: Symbols, w2: Symbols) -> int:
-    if side == U_SIDE:
-        pairs = zip(reversed(w1), reversed(w2))
-    else:
-        pairs = zip(w1, w2)
-    q = 0
-    for a, b in pairs:
-        if a != b:
-            break
-        q += 1
-    return q
-
-
 def _holder_from_values(
     side: str, values: Mapping[PairKey, float], alpha: float
 ) -> float:
-    """Worst |v1 - v2| * 2^(alpha q) over pairs of structurally matching keys:
-    per coordinate the same kind, ordinal and word length."""
-    groups: dict[tuple, list[tuple[PairKey, float]]] = {}
+    """Worst |v1 - v2| * 2^(alpha q) over pairs of keys with, per coordinate,
+    the same kind, ordinal and word length and words agreeing in their q
+    deepest symbols.  One bucket per q and agreeing windows: its spread is
+    attained by a pair agreeing to depth q or more, and every pair lies in
+    the bucket of its own agreement depth (alpha >= 0)."""
+    spans: dict[tuple, tuple[float, float]] = {}
     for key, v in values.items():
         shape = tuple((s.kind, s.ordinal, len(s.word)) for s in key)
-        groups.setdefault(shape, []).append((key, v))
-    worst = 0.0
-    for items in groups.values():
-        for (k1, v1), (k2, v2) in combinations(items, 2):
-            q = min(
-                _deep_agreement(side, s1.word, s2.word) for s1, s2 in zip(k1, k2)
-            )
-            worst = max(worst, abs(v1 - v2) * 2.0 ** (alpha * q))
-    return worst
+        for q in range(min(len(s.word) for s in key) + 1):
+            bucket = (q, shape, tuple(deep_window_of(s.word, q, side) for s in key))
+            lo, hi = spans.get(bucket, (v, v))
+            spans[bucket] = (min(lo, v), max(hi, v))
+    return max([0.0] + [(hi - lo) * 2.0 ** (alpha * b[0]) for b, (lo, hi) in spans.items()])
 
 
 def holder_estimate(spec: SolenoidSpec, alpha: Optional[float] = None) -> float:
-    """Empirical Hoelder constant of the table at exponent alpha.
+    """Empirical Hoelder constant of the table at exponent alpha >= 0.
 
-    Compares every pair of structurally matching keys; the distance
-    between two keys is 2^(-q) with q the deep-end agreement of both
-    coordinates. Always finite on a finite table.
-    """
+    Two structurally matching keys are 2^(-q) apart, q the deep-end
+    agreement of their coordinates; the estimate is the worst spread of
+    the values of keys agreeing to depth q, times 2^(alpha q), one pass per
+    depth, so linear in the table size. Finite on a finite table."""
     a = spec.holder_alpha if alpha is None else alpha
+    if not a >= 0:
+        raise ValueError(f"the Hoelder exponent must be nonnegative, got {a!r}")
     return _holder_from_values(spec.side, spec.values, a)
 
 
@@ -155,33 +153,17 @@ def _expanded_row(layout: GapLayout, word: Symbols, remaining: int) -> list[Seg]
 def _row_leaf_pairs(row: list[Seg], has_gaps: bool) -> list[PairKey]:
     """Consecutive leaf pairs of an expanded row: adjacent on a side without
     gaps, flanking exactly one gap on a side with them."""
+    leaves = [i for i, seg in enumerate(row) if not seg.is_gap]
     need = 1 if has_gaps else 0
-    out: list[PairKey] = []
-    for i, seg in enumerate(row):
-        if seg.is_gap:
-            continue
-        j = i + 1
-        gaps = 0
-        while j < len(row) and row[j].is_gap:
-            gaps += 1
-            j += 1
-        if j < len(row) and gaps == need:
-            out.append((seg, row[j]))
-    return out
+    return [(row[i], row[j]) for i, j in zip(leaves, leaves[1:]) if j - i - 1 == need]
 
 
 def _agnostic_pairs(sys: SftSystem, side: str, depth: int) -> list[PairKey]:
     out: list[PairKey] = []
-    mothers = (
-        [()]
-        if depth == 1
-        else [w.symbols for w in enumerate_cylinders(sys, depth - 1, side)]
-    )
+    mothers = [w.symbols for w in enumerate_cylinders(sys, depth - 1, side)] if depth > 1 else [()]
     for mw in mothers:
         kids = [Seg("cyl", deep_extend(mw, a, side)) for a in sys.deep_extensions(mw, side)]
-        for i in range(len(kids)):
-            for j in range(i + 1, len(kids)):
-                out.append((kids[i], kids[j]))
+        out.extend(combinations(kids, 2))
     return out
 
 
@@ -282,17 +264,11 @@ def measure_solenoid(g: GibbsMeasure, psi: Word, xi: Word, side: str) -> float:
         raise NotInDomain("sibling words must be admissible")
     if g.sys.has_layout(side):
         layout = g.sys.layout(side)
-        segs = layout.ordered_children(mw)
-        pos = {s: i for i, s in enumerate(segs) if not s.is_gap}
-        ia = pos[Seg("cyl", psi.symbols)]
-        ib = pos[Seg("cyl", xi.symbols)]
-        lo, hi = min(ia, ib), max(ia, ib)
-        between = segs[lo + 1 : hi]
-        if layout.has_gaps:
-            if len(between) != 1 or not between[0].is_gap:
-                raise NotInDomain("siblings must flank exactly one gap")
-        elif between:
-            raise NotInDomain("siblings must be adjacent in the layout")
+        pairs = _row_leaf_pairs(layout.ordered_children(mw), layout.has_gaps)
+        a, b = Seg("cyl", psi.symbols), Seg("cyl", xi.symbols)
+        if (a, b) not in pairs and (b, a) not in pairs:
+            rule = "flank exactly one gap" if layout.has_gaps else "be adjacent in the layout"
+            raise NotInDomain(f"siblings must {rule}")
     return g.measure(psi.symbols) / g.measure(xi.symbols)
 
 
@@ -308,6 +284,15 @@ def _as_side_seg(x: Union[Word, Seg], side: str) -> Seg:
     return x
 
 
+def _chain_sizes(spec: SolenoidSpec, segs: Sequence[Seg]) -> list[float]:
+    """size(segs[i]) / size(segs[0]) along a chain of touching segments: the
+    running products of the stored ratios of neighbours."""
+    out = [1.0]
+    for prev, cur in zip(segs, segs[1:]):
+        out.append(out[-1] * spec.sigma(cur, prev))
+    return out
+
+
 def _mother_over_child(
     spec: SolenoidSpec, layout: GapLayout, mw: Symbols, child: Seg
 ) -> float:
@@ -318,16 +303,7 @@ def _mother_over_child(
         s = chain.index(child)
     except ValueError:
         raise NotInDomain(f"{child} is not a child of {mw}") from None
-    total = 1.0
-    r = 1.0
-    for i in range(s - 1, -1, -1):
-        r *= spec.sigma(chain[i], chain[i + 1])
-        total += r
-    r = 1.0
-    for i in range(s + 1, len(chain)):
-        r *= spec.sigma(chain[i], chain[i - 1])
-        total += r
-    return total
+    return sum(_chain_sizes(spec, chain[s::-1]) + _chain_sizes(spec, chain[s:])[1:])
 
 
 def _up_to_root(spec: SolenoidSpec, layout: GapLayout, seg: Seg) -> float:
@@ -402,11 +378,7 @@ def matching_rows(
     for inst in data.matching_instances:
         if inst.side != spec.side:
             continue
-        t = 1.0
-        terms = [1.0]
-        for prev, cur in zip(inst.chain, inst.chain[1:]):
-            t *= spec.sigma(cur, prev)
-            terms.append(t)
+        terms = _chain_sizes(spec, inst.chain)
         num = sum(terms[: inst.split])
         den = sum(terms[inst.split :])
         lhs = spec.sigma(inst.left, inst.right)
@@ -424,17 +396,11 @@ def boundary_rows(
     for inst in data.boundary_instances:
         if inst.side != spec.side:
             continue
-        sums = []
-        for dec in (inst.dec_a, inst.dec_b):
-            t = 1.0
-            total = 0.0
-            prev = inst.base
-            for seg in dec:
-                t *= spec.sigma(seg, prev)
-                total += t
-                prev = seg
-            sums.append(total)
-        out.append(_row(inst.ident, sums[0], sums[1]))
+        a, b = (
+            sum(_chain_sizes(spec, [inst.base, *dec])[1:], 0.0)
+            for dec in (inst.dec_a, inst.dec_b)
+        )
+        out.append(_row(inst.ident, a, b))
     return out
 
 
@@ -627,10 +593,16 @@ def solenoid_to_json(spec: SolenoidSpec) -> str:
 
 
 def solenoid_from_json(text: str) -> SolenoidSpec:
+    """The spec of solenoid_to_json; ValueError on a side other than u or s,
+    a stabilization below 1 or a stored ratio that is not a positive finite
+    float (range and reciprocity are left to SolenoidSpec.validate)."""
     obj = json.loads(text)
     values = {
         (seg_from_json(a), seg_from_json(b)): float(v) for a, b, v in obj["values"]
     }
+    for (a, b), v in values.items():
+        if not _is_ratio(v):
+            raise ValueError(f"ratio for ({a}, {b}) is not a positive float: {v!r}")
     return SolenoidSpec(
         side=obj["side"],
         domain_kind=obj["domain_kind"],

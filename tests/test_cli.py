@@ -377,3 +377,59 @@ def test_failing_synthesis_walk_writes_no_report(tmp_path, monkeypatch, capsys):
     summary = load_json(tmp_path / "summary.json")
     assert summary["tasks"][0]["status"] == "inadmissible"
     assert not list(tmp_path.glob("synthesize.*"))
+
+
+def _edited_solenoid_file(tmp_path, name, side, edit):
+    blob = json.loads(solenoid_to_json(from_realization(builtin(name).side(side).realization)))
+    edit(blob)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(blob))
+    return path
+
+
+def _set_ratios(blob, value):
+    for triple in blob["values"]:
+        triple[2] = value
+
+
+@pytest.mark.parametrize("name, side", [("golden-anosov", "u"), ("da-attractor-toy", "s")])
+@pytest.mark.parametrize(
+    "edit, phrase",
+    [
+        (lambda b: _set_ratios(b, 0.0), "is not a positive float: 0.0"),
+        (lambda b: _set_ratios(b, -1.0), "is not a positive float: -1.0"),
+        (lambda b: _set_ratios(b, math.inf), "is not a positive float: inf"),
+        (lambda b: b.update(side="x"), "side must be one of ('u', 's'), got 'x'"),
+        (lambda b: b.update(stabilization=0), "stabilization must be at least 1, got 0"),
+    ],
+    ids=["zero", "negative", "infinite", "side", "stabilization"],
+)
+def test_bad_solenoid_files_exit_2(tmp_path, capsys, name, side, edit, phrase):
+    spec_file = _edited_solenoid_file(tmp_path, name, side, edit)
+    argv = ["--side", side, "--solenoid", str(spec_file), "--out", str(tmp_path)]
+    assert run_cli(name, "solenoid-check", *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solenoid-check: malformed solenoid file")
+    assert phrase in err
+    if "float" in phrase:
+        assert "ratio for (Seg(kind='cyl'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "solenoid-check.csv").exists()
+
+
+@pytest.mark.parametrize("pressure, depth", [("-25", 14), ("-22", 16)])
+def test_underflowing_lengths_exit_2(tmp_path, capsys, pressure, depth):
+    argv = ("horseshoe", "synthesize", "--depth", "16", "--delta", "0.5", "--out", str(tmp_path))
+    assert run_cli(*argv, f"--pressure={pressure}") == 2
+    err = capsys.readouterr().err
+    assert f"at depth {depth} is below the float range" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("synthesize.*"))
+
+
+def test_deep_normal_lengths_still_report(tmp_path):
+    argv = ("horseshoe", "synthesize", "--depth", "16", "--delta", "0.5", "--out", str(tmp_path))
+    assert run_cli(*argv, "--pressure=-20") == 0
+    lengths = [float(row[2]) for row in load_table(tmp_path / "synthesize.csv").rows]
+    assert len(lengths) == 196605
+    assert min(lengths) == pytest.approx(2.6e-288, rel=0.1)

@@ -7,6 +7,7 @@ import pytest
 from sftgeom.cocycle import constant_pair, synthesize_ratio
 from sftgeom.errors import (
     GapOnDualSide,
+    LengthUnderflow,
     MismatchedSystems,
     MissingPairValue,
     NegativeGap,
@@ -354,3 +355,17 @@ def test_dual_pair_mismatched_measure(toy):
     g = GibbsMeasure(FULL2, uniform_potential(FULL2))
     with pytest.raises(MismatchedSystems):
         dual_pair(g, tt_s)
+
+
+@pytest.mark.parametrize("side", ["u", "s"])
+def test_underflowing_lengths_raise_a_typed_error(side):
+    # depth-10 cylinders reach 1e-300 at the least; zero gaps are exact zeros
+    table = RatioTable(CANTOR, side, 1, {cyl((0,)): 1e-30, cyl((1,)): 0.5, gap(()): 0.0})
+    tt = lengths_from_ratio(table, 0.5, 0.0, 10)
+    assert min(tt.lengths.values()) == pytest.approx(1e-300)
+    with pytest.raises(LengthUnderflow, match="at depth 11 is below the float range"):
+        lengths_from_ratio(table, 0.5, 0.0, 11)
+    # a gap under a depth-9 node at 1e-270 * 1e-50, below the normal range
+    table = RatioTable(CANTOR, side, 1, {cyl((0,)): 1e-30, cyl((1,)): 0.5, gap(()): 1e-50})
+    with pytest.raises(LengthUnderflow, match="at depth 10 is below the float range"):
+        lengths_from_ratio(table, 0.5, 0.0, 10)

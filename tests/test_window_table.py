@@ -1,12 +1,16 @@
 """The window-table core: synthesized tables hold only their window,
-level walks match the enumeration order, and the per-level bounded
-checks agree with the pointwise extension of the scaling function."""
+level walks match the enumeration order, the per-level bounded checks
+agree with the pointwise extension of the scaling function, and the
+one-pass Hoelder estimate and the sibling rule agree with their
+references."""
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +24,7 @@ from sftgeom.cocycle import (
     constant_pair,
     synthesize_ratio,
 )
-from sftgeom.errors import MissingPairValue, NegativeGap, SftGeomError
+from sftgeom.errors import MissingPairValue, NegativeGap, NotInDomain, SftGeomError
 from sftgeom.gibbs import (
     AdmissiblePair,
     GibbsMeasure,
@@ -47,6 +51,8 @@ from sftgeom.solenoid import (
     extend_scaling,
     from_gibbs,
     from_realization,
+    holder_estimate,
+    measure_solenoid,
 )
 
 MARKOV_ROWS = [[0.7, 0.3], [0.4, 0.6]]
@@ -473,3 +479,99 @@ def test_bounded_checks_match_pointwise_on_generated_systems(case, data):
         assert got is MissingPairValue
     else:
         assert abs(got - want) <= 1e-12
+
+
+def _pairwise_holder(spec, alpha):
+    """The all-pairs Hoelder estimate: |v1 - v2| * 2^(alpha q) over every two
+    keys with, per coordinate, the same kind, ordinal and word length, q
+    the least deep-end agreement of their coordinates."""
+
+    def agreement(w1, w2):
+        pairs = zip(reversed(w1), reversed(w2)) if spec.side == "u" else zip(w1, w2)
+        q = 0
+        for a, b in pairs:
+            if a != b:
+                break
+            q += 1
+        return q
+
+    groups = {}
+    for key, v in spec.values.items():
+        shape = tuple((s.kind, s.ordinal, len(s.word)) for s in key)
+        groups.setdefault(shape, []).append((key, v))
+    worst = 0.0
+    for items in groups.values():
+        for (k1, v1), (k2, v2) in combinations(items, 2):
+            q = min(agreement(s1.word, s2.word) for s1, s2 in zip(k1, k2))
+            worst = max(worst, abs(v1 - v2) * 2.0 ** (alpha * q))
+    return worst
+
+
+def _assert_holder_is_pairwise(spec):
+    assert spec.holder_constant == _pairwise_holder(spec, 1.0)
+    for alpha in (0.5, 1.0, 2.0):
+        assert holder_estimate(spec, alpha) == _pairwise_holder(spec, alpha)
+        empty = replace(spec, values={})
+        assert holder_estimate(empty, alpha) == _pairwise_holder(empty, alpha) == 0.0
+
+
+def _assert_sibling_rule_is_tabulated(g, side):
+    """measure_solenoid accepts a pair of siblings, in either order, exactly
+    when from_gibbs tabulates it under their mother."""
+    spec = from_gibbs(g, side)
+    for d in range(g.span, spec.stabilization + 1):
+        mothers = [()] if d == 1 else [w.symbols for w in enumerate_cylinders(g.sys, d - 1, side)]
+        for m in mothers:
+            kids = [deep_extend(m, a, side) for a in g.sys.deep_extensions(m, side)]
+            for a, b in permutations(kids, 2):
+                tabulated = (cyl(a), cyl(b)) in spec.values or (cyl(b), cyl(a)) in spec.values
+                try:
+                    measure_solenoid(g, Word(a, side), Word(b, side), side)
+                    accepted = True
+                except NotInDomain:
+                    accepted = False
+                assert accepted == tabulated, (a, b)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("side", ["u", "s"])
+def test_solenoid_rules_match_their_references_on_builtins(name, side):
+    b = builtin(name)
+    _assert_holder_is_pairwise(from_gibbs(b.measure, side))
+    if b.sys.has_layout(side):
+        _assert_holder_is_pairwise(from_realization(b.side(side).realization))
+    _assert_sibling_rule_is_tabulated(b.measure, side)
+
+
+def test_holder_agreement_stops_at_the_shortest_coordinate():
+    # the second coordinates agree in two deep symbols, the first in its only one: q = 1
+    spec = replace(
+        from_gibbs(builtin("horseshoe").measure, "s"),
+        values={(cyl((0,)), cyl((1, 2, 3))): 1.0, (cyl((0,)), cyl((1, 2, 4))): 2.0},
+    )
+    assert holder_estimate(spec, 1.0) == _pairwise_holder(spec, 1.0) == 2.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        holder_estimate(spec, -1.0)
+
+
+def test_sibling_rule_refuses_adjacent_cylinders_in_a_gapped_row():
+    row = (("cyl", 0), ("gap",), ("cyl", 1), ("cyl", 2))
+    layout = GapLayout("u", dict.fromkeys([None, 0, 1, 2], row))
+    sys3 = build_sft(3, [[1, 1, 1]] * 3, layouts={"u": layout})
+    words = [w.symbols for w in enumerate_cylinders(sys3, 2, "u")]
+    span_two = potential_from_table(sys3, {w: 0.1 * (1 + sum(w) + w[0]) for w in words})
+    for pot in (uniform_potential(sys3), span_two):
+        g = GibbsMeasure(sys3, pot)
+        _assert_sibling_rule_is_tabulated(g, "u")
+        with pytest.raises(NotInDomain, match="flank exactly one gap"):
+            measure_solenoid(g, Word((0, 1), "u"), Word((0, 2), "u"), "u")
+
+
+@settings(max_examples=30, deadline=None)
+@given(gapped_specs())
+def test_solenoid_rules_match_their_references_on_generated_systems(case):
+    sys, specs, measures = case
+    for spec in specs:
+        _assert_holder_is_pairwise(spec)
+    for g in measures:
+        _assert_sibling_rule_is_tabulated(g, specs[0].side)
