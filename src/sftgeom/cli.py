@@ -43,9 +43,9 @@ from .sft import (
     U_SIDE,
     deep_extend,
     enumerate_cylinders,
-    load_system,
     opposite,
     periodic_orbits,
+    system_from_json,
 )
 from .solenoid import (
     boundary_rows,
@@ -237,6 +237,10 @@ class _Ctx:
         return self.scn.tol if self.scn.tol is not None else DEFAULT_TOL[task]
 
 
+# What loaders raise on malformed content: wrong shapes, 1/0, 1e999, a non-primitive system.
+_MALFORMED = (ValueError, LookupError, TypeError, AttributeError, ArithmeticError, SftGeomError)
+
+
 def _load_with(loader, path: str, what: str):
     """Read and decode one input file, folding any malformed-content
     failure into a ParseError so the runner can exit 2 cleanly."""
@@ -246,7 +250,7 @@ def _load_with(loader, path: str, what: str):
         raise ParseError(f"cannot read {what} file {path}: {e}") from None
     try:
         return loader(text)
-    except (ValueError, KeyError, TypeError) as e:
+    except _MALFORMED as e:
         raise ParseError(f"malformed {what} file {path}: {e}") from None
 
 
@@ -272,13 +276,7 @@ def _prepare(scn: Scenario) -> _Ctx:
         version = b.version
     else:
         b = None
-        try:
-            system = load_system(scn.source)
-        except OSError as e:
-            raise ParseError(f"cannot read system file {scn.source}: {e}") from None
-        except (ValueError, KeyError, TypeError, SftGeomError) as e:
-            # SftGeomError: not primitive, or inadmissible boundary data
-            raise ParseError(f"malformed system file {scn.source}: {e}") from None
+        system = _load_with(system_from_json, scn.source, "system")
         version = "user"
     if scn.potential_path:
         pot = _load_with(
@@ -606,6 +604,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario_from_args(ns: argparse.Namespace) -> Scenario:
+    if ns.system is not None and ns.source in TASKS:  # no builtin is named after a task
+        ns.tasks, ns.source = [ns.source, *ns.tasks], None
     if ns.source is not None and ns.system is not None:
         raise ParseError("give either a builtin name or --system FILE, not both")
     if ns.source is None and ns.system is None:

@@ -29,7 +29,7 @@ from .errors import (
     NoRoot,
     NotInDomain,
 )
-from .gibbs import GibbsMeasure, measure_scaling, perron
+from .gibbs import GibbsMeasure, perron
 from .sft import (
     S_SIDE,
     U_SIDE,
@@ -385,21 +385,19 @@ def eigenvalue_via_measure(
     side: str,
     periods: int = 1,
 ) -> float:
-    """Eigenvalue of a periodic point from the measure scaling function.
+    """Eigenvalue of a periodic point from the measure (Livsic-Sinai).
 
-    Multiplies the deeper-conditional scaling values around `periods`
-    turns of the orbit and applies the exponent -1/delta together with
-    the pressure correction.
+    A turn of the orbit one block longer than the period has measure
+    v_b * prod T * u_b / lam ** p and its first block b has v_b * u_b, so
+    their quotient is the orbit weight exp(S_p phi) / lam ** p on either
+    side; raised to -periods/delta, with the pressure correction.
     """
     rep, p = orbit.representative, orbit.period
     if not g.sys.is_admissible(rep + rep):
         raise NotInDomain(f"orbit word {rep} is not admissible")
-    L = max(g.span, 2) + p
-    prod = 1.0
-    for i in range(p * periods):
-        w = _cyclic_window(rep, i, L, side)
-        prod *= measure_scaling(g, g.sys.word(w, side))
-    return prod ** (-1.0 / delta) * math.exp(-(p * periods) * pressure / delta)
+    turn = g.sys.word(_cyclic_window(rep, 0, p + g.block_len, U_SIDE), side)
+    weight = g.measure(turn) / g.measure(turn.symbols[: g.block_len])
+    return weight ** (-periods / delta) * math.exp(-(p * periods) * pressure / delta)
 
 
 def livsic_sinai_check(

@@ -9,6 +9,7 @@ import pytest
 from sftgeom import cli
 from sftgeom.builtins import builtin
 from sftgeom.cli import load_json, load_table, main, write_table
+from sftgeom.cocycle import pair_to_json
 from sftgeom.gibbs import markov_potential, potential_to_json
 from sftgeom.sft import system_to_json
 from sftgeom.solenoid import from_realization, solenoid_to_json
@@ -129,6 +130,90 @@ def test_malformed_input_files_exit_2(tmp_path):
     assert run_cli("horseshoe", "solenoid-check", "--solenoid", str(bad), "--out", str(tmp_path)) == 2
     assert run_cli("da-attractor-toy", "synthesize", "--pair", str(bad), "--out", str(tmp_path)) == 2
     assert run_cli("--system", str(tmp_path / "absent.json"), *args) == 2
+
+
+def _malformed_file(tmp_path, text, edit):
+    obj = json.loads(text)
+    edit(obj)
+    path = tmp_path / "in.json"
+    # json.dumps writes float("inf") as Infinity; 1e999 reads back as inf too
+    path.write_text(json.dumps(obj).replace("Infinity", "1e999"))
+    return path
+
+
+def _first_layout(obj):
+    return next(iter(obj["layouts"].values()))
+
+
+_TOY = builtin("da-attractor-toy")
+# per kind of input file: a well-formed file, the command line up to the
+# file's path, and the kind as the error message names it
+_INPUTS = {
+    "pair": (
+        pair_to_json(_TOY.s.pair),
+        ["da-attractor-toy", "synthesize", "--pair"],
+        "cocycle-gap pair",
+    ),
+    "potential": (
+        potential_to_json(builtin("horseshoe").potential),
+        ["horseshoe", "gibbs", "--potential"],
+        "potential",
+    ),
+    "system": (system_to_json(_TOY.sys), ["gibbs", "--system"], "system"),
+    "solenoid": (
+        solenoid_to_json(from_realization(_TOY.s.realization)),
+        ["da-attractor-toy", "solenoid-check", "--side", "s", "--solenoid"],
+        "solenoid",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, edit",
+    [
+        ("pair", lambda o: o.update(levels=[1])),
+        ("potential", lambda o: _set(o, "weights", "0", "1/0")),
+        ("potential", lambda o: o.update(values=[])),
+        ("potential", lambda o: o.update(weights=[])),
+        ("potential", lambda o: o.update(range=math.inf)),
+        ("system", lambda o: o.update(layouts=[])),
+        ("system", lambda o: o.update(boundary=[])),
+        ("system", lambda o: _first_layout(o).update(entries=[])),
+        ("system", lambda o: o.update(alphabet=math.inf)),
+        ("system", lambda o: _first_layout(o)["entries"].update(root=[[]])),
+        ("solenoid", lambda o: o["values"][0].__setitem__(0, [])),
+        ("solenoid", lambda o: o.update(stabilization=math.inf)),
+    ],
+    ids=[
+        "pair-levels-list",
+        "potential-weight-1/0",
+        "potential-values-list",
+        "potential-weights-list",
+        "potential-range-1e999",
+        "system-layouts-list",
+        "system-boundary-list",
+        "system-entries-list",
+        "system-alphabet-1e999",
+        "system-empty-entry",
+        "solenoid-empty-segment",
+        "solenoid-stabilization-1e999",
+    ],
+)
+def test_malformed_file_content_exits_2(tmp_path, capsys, kind, edit):
+    text, argv, what = _INPUTS[kind]
+    path = _malformed_file(tmp_path, text, edit)
+    assert run_cli(*argv, str(path), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"malformed {what} file" in err
+    assert "Traceback" not in err
+
+
+def test_two_tasks_run_on_a_system_file(tmp_path):
+    sys_file = tmp_path / "hs.json"
+    sys_file.write_text(system_to_json(builtin("horseshoe").sys))
+    argv = ["--system", str(sys_file), "gibbs", "synthesize", "--delta", "0.5", "--depth", "3"]
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    assert (tmp_path / "gibbs.csv").exists() and (tmp_path / "synthesize.csv").exists()
 
 
 def test_out_that_cannot_be_created_exits_2(tmp_path, capsys):

@@ -72,3 +72,28 @@ def test_every_private_name_is_referenced(path):
         ):
             dead.append(name)
     assert dead == [], f"{path.name} defines private names nothing references: {dead}"
+
+
+def _parameters(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
+    a = node.args
+    named = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+    return [arg.arg for arg in named]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    """A parameter that no line of its function reads (nested functions
+    included) is one the function ignores.  Lambdas and a method's `self`
+    are exempt: their signatures are fixed by their callers."""
+    unread = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            params = [p for p in _parameters(node) if p != "self"]
+            unread += [f"{node.name}({p})" for p in params if p not in read]
+    assert unread == [], f"{path.name} has parameters nothing reads: {unread}"

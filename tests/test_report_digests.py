@@ -73,11 +73,11 @@ RECORDED = {
         {
             "dimension.json": "d2da53932f3b1502b727360f32d55b760a72af83bfd7bdc131d8df87cfcba0c2",
             "dual.csv": "9aa9c00cb2cdff87783466d3a4b68068c0dd8ef5380ef908f54794685189d041",
-            "eigenvalues.csv": "c345c2acb5d860c6dd5f160ba6484e94261d7b9028ec8bdc00c3b94241412a63",
+            "eigenvalues.csv": "57c593294662813e5baba368c5e631e5e59f79e1880d34f5a0e23b1a76336396",
             "gibbs.csv": "77dc2a571fd08f5e0ff58e017fe0b578706aaca7d16df3059f9d831a687ff4b8",
             "livsic.csv": "aaa42c0ce2e9e5b02c8f07e7d046730857d67415b42a61895916efac5702e124",
             "solenoid-check.csv": "5527c2df8dfe8de122f07e02ec4658aeebab98d40d95c436c4fb987166cff376",
-            "summary.json": "3c00cc0cca07069ce3e37a8c13c7ba1b866307e2617d138bbecdee698d92cca6",
+            "summary.json": "92e7796ebf3d9417ad0ffcb4aed03d09405382b0d9bc7139f61ddac3b80edb8b",
         },
     ),
     ("golden-anosov", "u", "json"): (
@@ -85,11 +85,11 @@ RECORDED = {
         {
             "dimension.json": "d2da53932f3b1502b727360f32d55b760a72af83bfd7bdc131d8df87cfcba0c2",
             "dual.json": "5f7a795965006b07768676a9b089dc5419248d2805373f9561dd6244cfc22591",
-            "eigenvalues.json": "771258f16a06219ff28cc415954c60f57147ed0f50f0b345f0fdafb599e4ed4e",
+            "eigenvalues.json": "610938976c2568ae6bc04f12bb7efe2e69877bcf772500f8f413490bc1a3cddc",
             "gibbs.json": "adf326fe4ef4e72df2141ad423b50a72bfd537b0a56bb5a407cee10a8579780d",
             "livsic.json": "5102acc722a8c9e5a2c0ee3377b8d5820e7c494757888959d19d023913a2c6cc",
             "solenoid-check.json": "9e64f8e378ece22d6c380be83accf8907ef57ed2b8d2d64e10e841caa32b4dd5",
-            "summary.json": "8ced34da391d11b3110951e3ce53d759a94bf203280cb28b6e9f46eccecd76ca",
+            "summary.json": "dd6fa869d3d8d013e645c0ad8d6cff03ef52117f817593c63f600a682703725c",
         },
     ),
     ("golden-anosov", "s", "csv"): (
@@ -97,11 +97,11 @@ RECORDED = {
         {
             "dimension.json": "4942751530fcd3ee0ace8bd4fd76df0fce4e9b8676e2827900c6e5563c4e7cb6",
             "dual.csv": "9aa9c00cb2cdff87783466d3a4b68068c0dd8ef5380ef908f54794685189d041",
-            "eigenvalues.csv": "73e564233d36119c5f47fe43bb082237cdf78374f47b00e56cead9aa3e0a63c0",
+            "eigenvalues.csv": "3689ed204bb2fa5889303a25353d54487c1a511eeb0307e9746fd66414f395b6",
             "gibbs.csv": "77dc2a571fd08f5e0ff58e017fe0b578706aaca7d16df3059f9d831a687ff4b8",
             "livsic.csv": "aaa42c0ce2e9e5b02c8f07e7d046730857d67415b42a61895916efac5702e124",
             "solenoid-check.csv": "5527c2df8dfe8de122f07e02ec4658aeebab98d40d95c436c4fb987166cff376",
-            "summary.json": "9424dd9db240931200bc4e60849271d22fac095aae337173337c6ee6719009d2",
+            "summary.json": "4af7d6dac3c5868454355a21eb783721e721a5e1674d7b245f6204f481cac13a",
         },
     ),
     ("golden-anosov", "s", "json"): (
@@ -109,11 +109,11 @@ RECORDED = {
         {
             "dimension.json": "4942751530fcd3ee0ace8bd4fd76df0fce4e9b8676e2827900c6e5563c4e7cb6",
             "dual.json": "5f7a795965006b07768676a9b089dc5419248d2805373f9561dd6244cfc22591",
-            "eigenvalues.json": "fb78c5221b824278988dbdb858b0eb02a8878939afc0576cd54301f44aa267e5",
+            "eigenvalues.json": "84d15ad812f80bbb93874efcb2b6c1d9bf74483a830ea4900fb8c0de4bc4e8d3",
             "gibbs.json": "adf326fe4ef4e72df2141ad423b50a72bfd537b0a56bb5a407cee10a8579780d",
             "livsic.json": "5102acc722a8c9e5a2c0ee3377b8d5820e7c494757888959d19d023913a2c6cc",
             "solenoid-check.json": "9e64f8e378ece22d6c380be83accf8907ef57ed2b8d2d64e10e841caa32b4dd5",
-            "summary.json": "86cb0d3f9a73eb5e7adfbf7b821983546530279c1646eb9f4a47f534b8e8d149",
+            "summary.json": "730ae74862d127ee83345a3734695678d48109ef2a089aa16f0e2ad17da4e8cd",
         },
     ),
     ("cantor-third", "u", "csv"): (
@@ -168,22 +168,22 @@ RECORDED = {
         4,
         {
             "dimension.json": "d2da53932f3b1502b727360f32d55b760a72af83bfd7bdc131d8df87cfcba0c2",
-            "eigenvalues.csv": "73bca5e2bc95e77c533de024e7c9fb6fe7db8677e1343ec95231f0cb83b387d8",
+            "eigenvalues.csv": "dc9e6d9b1f309d1458a374941f81c48c19fc8b2b3923c1cfec35fc7ea9195cdb",
             "gibbs.csv": "26f772b68e75a2c952a07a8501dcb1e8fd56855c331d48da4adfb82790e4670d",
             "livsic.csv": "30f4dc3223f9a13370fc65d5a6657d582b705d3375dbc9c6c465234ab854eae3",
             "solenoid-check.csv": "379765b353fc3dcb500c190ded7df566782e47ac17e2935e879670572cdd4f69",
-            "summary.json": "357d3fa92fdb313a9d401c63da2f6ad123dbe94146cd62193e68c46df12247d8",
+            "summary.json": "d0fca1e54595b66814c3dc9b34b5489ce49fdfc3e9c2fd55826d35704072703a",
         },
     ),
     ("da-attractor-toy", "u", "json"): (
         4,
         {
             "dimension.json": "d2da53932f3b1502b727360f32d55b760a72af83bfd7bdc131d8df87cfcba0c2",
-            "eigenvalues.json": "9c58cf44f6e0fcceabce6bdec7393643fad436a3471940c628b7c8fa3fc7efe6",
+            "eigenvalues.json": "c7fb0d4e7925224fab4859c1641d7cbb40b46f764158f185381a1b1c173262d9",
             "gibbs.json": "bfff6f03144814bf1b68eb649dcd71796e1da8e97dbcb4591c7681bceaa88838",
             "livsic.json": "537c038b1b54b677303a0a9a84cb5be2eaab660f53c9951fb526f15a3006deb2",
             "solenoid-check.json": "9bd7b560f6050cd5ab8be4f246e3b7a33659cfbc0cad326efbb60c87f4470a9c",
-            "summary.json": "9abe4530281019e094e2c4a86870c23e345448ab616c2ac30a0f969a45757d47",
+            "summary.json": "ff041e77579d7e210477310b8441ef2e093828f335bdbd1a783da5538dca0751",
         },
     ),
     ("da-attractor-toy", "s", "csv"): (
@@ -191,11 +191,11 @@ RECORDED = {
         {
             "dimension.json": "8572e3003bc0eee57079c0f14738c2cf9baa0c324fbbe8ed2afe00d637af66dc",
             "dual.csv": "b31ed9fb0802830f6f5db4e1abd6c211e322367faa8095de00a4f19d9a7dae0a",
-            "eigenvalues.csv": "874d7f259adc55009da4acd4aa320bbd9275ac7be25cbf189c7e86b3e14b9b66",
+            "eigenvalues.csv": "adf1b36c05122373d368f057622cb7248458f55d5a6e7bf93619c88e5ac75919",
             "gibbs.csv": "26f772b68e75a2c952a07a8501dcb1e8fd56855c331d48da4adfb82790e4670d",
             "livsic.csv": "30f4dc3223f9a13370fc65d5a6657d582b705d3375dbc9c6c465234ab854eae3",
             "solenoid-check.csv": "379765b353fc3dcb500c190ded7df566782e47ac17e2935e879670572cdd4f69",
-            "summary.json": "f303a052eb91ed6919de940727c4bf4764907427d5f69157a4232993be4d6528",
+            "summary.json": "9166b272449f8f22b194f10463f613d012635de688c28f5662706000a599e64e",
             "synthesize.csv": "9b6fdb1e51066388c544ac2e4e292b881bc5c86ecd67d65edc707636e05dbfea",
         },
     ),
@@ -204,11 +204,11 @@ RECORDED = {
         {
             "dimension.json": "8572e3003bc0eee57079c0f14738c2cf9baa0c324fbbe8ed2afe00d637af66dc",
             "dual.json": "d09c244e0f094d65d3e9fa0a1818f332003920d3d49c12cb48011310c8cbb221",
-            "eigenvalues.json": "de0248470dd3d23603e2ecd2d777314dea9a8266c996f2ef809e1ce81b085936",
+            "eigenvalues.json": "9414c81789add6ff9e4be2e80c3b0381f00cf520e89c4eb12ce37fea7ac4b7c5",
             "gibbs.json": "bfff6f03144814bf1b68eb649dcd71796e1da8e97dbcb4591c7681bceaa88838",
             "livsic.json": "537c038b1b54b677303a0a9a84cb5be2eaab660f53c9951fb526f15a3006deb2",
             "solenoid-check.json": "9bd7b560f6050cd5ab8be4f246e3b7a33659cfbc0cad326efbb60c87f4470a9c",
-            "summary.json": "7ce078f6d2da991257607ee64c72b92f2c0c029763a50be5bd3f3a4d32379a98",
+            "summary.json": "13ac093f9a93c7ee93d28766b1f4825d625a657da350fdf3d2fd17c016f4ff32",
             "synthesize.json": "551d3f8c46e185469c0e4fc92c22ac9baaefc12a7edd55aa9c58e7b895eff29c",
         },
     ),
