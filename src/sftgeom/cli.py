@@ -30,12 +30,12 @@ from .errors import LengthUnderflow, ParseError, SftGeomError, UnknownBuiltin
 from .gibbs import GibbsMeasure, measure_scaling, potential_from_json, uniform_potential
 from .realize import (
     WindowWalk,
+    _livsic_rows,
     additivity_defect,
     dimension_report,
     dual_pair,
     eigenvalue,
     eigenvalue_via_measure,
-    livsic_sinai_check,
 )
 from .sft import (
     S_SIDE,
@@ -282,11 +282,11 @@ def _prepare(scn: Scenario) -> _Ctx:
         pot = _load_with(
             lambda text: potential_from_json(text, system), scn.potential_path, "potential"
         )
+        measure = GibbsMeasure(system, pot)
     elif b is not None:
-        pot = b.potential
+        measure = b.measure
     else:
-        pot = uniform_potential(system)
-    measure = GibbsMeasure(system, pot)
+        measure = GibbsMeasure(system, uniform_potential(system))
     side = scn.side if scn.side != "auto" else _auto_side(b, system)
     out = Path(scn.out_dir)
     try:
@@ -474,12 +474,10 @@ def _task_livsic(ctx: _Ctx) -> TaskOutcome:
     if ctx.b is None:
         raise ParseError("livsic needs a builtin system (two realized sides)")
     tt_u, tt_s = ctx.b.u.realization, ctx.b.s.realization
-    checked = livsic_sinai_check(tt_u, tt_s, ctx.scn.p_max)
     rows = []
     worst = 0.0
-    for orb, res in checked:
-        lams = eigenvalue(tt_u, orb), eigenvalue(tt_s, orb)
-        rows.append((_dotted(orb.representative), orb.period, *lams, res))
+    for orb, lam_u, lam_s, res in _livsic_rows(tt_u, tt_s, ctx.scn.p_max):
+        rows.append((_dotted(orb.representative), orb.period, lam_u, lam_s, res))
         worst = max(worst, res)
     columns = ("orbit", "period", "lambda_u", "lambda_s", "residual")
     return _emit(ctx, "livsic", columns, rows, worst)

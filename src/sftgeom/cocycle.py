@@ -38,6 +38,7 @@ from .sft import (
     deep_window_of,
     drop_deep,
     enumerate_cylinders,
+    json_int,
     pair_value,
 )
 
@@ -483,13 +484,13 @@ def pair_from_json(text: str) -> CocycleGapPair:
     levels = {_parse_word_str(k): float(v) for k, v in obj["levels"].items()}
     gobj = obj["gaps"]
     table = {
-        ((_parse_word_str(a[0]), int(a[1])), (_parse_word_str(b[0]), int(b[1]))): float(v)
+        ((_parse_word_str(a[0]), json_int(a[1])), (_parse_word_str(b[0]), json_int(b[1]))): float(v)
         for a, b, v in gobj["table"]
     }
     constant = gobj.get("constant")
     ratios = GapRatios(
         side,
-        int(gobj["depth"]),
+        json_int(gobj["depth"]),
         table,
         constant=None if constant is None else float(constant),
     )

@@ -31,6 +31,7 @@ from .sft import (
     Symbols,
     Word,
     enumerate_cylinders,
+    json_int,
     window_transitions,
 )
 
@@ -619,7 +620,7 @@ def potential_from_json(text: str, sys: Optional[SftSystem] = None) -> Potential
     import json
 
     obj = json.loads(text)
-    span = int(obj["range"])
+    span = json_int(obj["range"])
     phi = {
         tuple(int(t) for t in key.split(",")): float(v)
         for key, v in obj["values"].items()

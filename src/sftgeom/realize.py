@@ -329,8 +329,9 @@ def dimension_report(x) -> DimensionReport:
     NoRoot when the pressure is already negative at the floor exponent.
     """
     hi = 1.0
-    if pressure_of(x, hi) >= 0.0:
-        return DimensionReport(1.0, abs(pressure_of(x, 1.0)), 0)
+    full = pressure_of(x, hi)
+    if full >= 0.0:
+        return DimensionReport(1.0, abs(full), 0)
     lo = DIM_DELTA_FLOOR
     if pressure_of(x, lo) <= 0.0:
         raise NoRoot(f"pressure is negative down to delta = {lo}")
@@ -400,6 +401,33 @@ def eigenvalue_via_measure(
     return weight ** (-periods / delta) * math.exp(-(p * periods) * pressure / delta)
 
 
+def _livsic_rows(
+    tt_u: TrainTrackRealization,
+    tt_s: TrainTrackRealization,
+    p_max: int,
+) -> list[tuple[PeriodicOrbit, float, float, float]]:
+    """(orbit, lam_u, lam_s, residual) per orbit up to p_max; see livsic_sinai_check."""
+    if tt_u.sys != tt_s.sys:
+        raise MismatchedSystems("the two sides realize different systems")
+    if tt_u.side != U_SIDE or tt_s.side != S_SIDE:
+        raise MismatchedSystems(
+            f"expected sides ('u', 's'), got ({tt_u.side!r}, {tt_s.side!r})"
+        )
+    rows = []
+    for orbit in periodic_orbits(tt_u.sys, p_max):
+        lam_u = eigenvalue(tt_u, orbit)
+        lam_s = eigenvalue(tt_s, orbit)
+        p = orbit.period
+        res = abs(
+            tt_s.delta * math.log(lam_s)
+            + p * tt_s.pressure
+            - tt_u.delta * math.log(lam_u)
+            - p * tt_u.pressure
+        )
+        rows.append((orbit, lam_u, lam_s, res))
+    return rows
+
+
 def livsic_sinai_check(
     tt_u: TrainTrackRealization,
     tt_s: TrainTrackRealization,
@@ -411,25 +439,7 @@ def livsic_sinai_check(
     identically: delta * log(eigenvalue) + period * pressure, side by
     side.  Returns one (orbit, residual) row per orbit.
     """
-    if tt_u.sys != tt_s.sys:
-        raise MismatchedSystems("the two sides realize different systems")
-    if tt_u.side != U_SIDE or tt_s.side != S_SIDE:
-        raise MismatchedSystems(
-            f"expected sides ('u', 's'), got ({tt_u.side!r}, {tt_s.side!r})"
-        )
-    rows: list[tuple[PeriodicOrbit, float]] = []
-    for orbit in periodic_orbits(tt_u.sys, p_max):
-        lam_u = eigenvalue(tt_u, orbit)
-        lam_s = eigenvalue(tt_s, orbit)
-        p = orbit.period
-        res = abs(
-            tt_s.delta * math.log(lam_s)
-            + p * tt_s.pressure
-            - tt_u.delta * math.log(lam_u)
-            - p * tt_u.pressure
-        )
-        rows.append((orbit, res))
-    return rows
+    return [(orbit, res) for orbit, _, _, res in _livsic_rows(tt_u, tt_s, p_max)]
 
 
 def natural_measure_check(

@@ -15,8 +15,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -256,28 +256,10 @@ class BoundaryData:
     cocyclegap_orbits: tuple[CocycleGapOrbit, ...] = ()
 
     def all_words(self) -> Iterator[Symbols]:
-        for inst in self.matching_instances:
-            yield inst.left.word
-            yield inst.right.word
-            for seg in inst.chain:
-                yield seg.word
-        for inst in self.boundary_instances:
-            yield inst.base.word
-            for seg in inst.dec_a + inst.dec_b:
-                yield seg.word
-        for inst in self.cylindergap_instances:
-            yield inst.pair_cyl.word
-            yield inst.pair_gap.word
-            for seg in inst.segments:
-                yield seg.word
-        for inst in self.cylindercylinder_instances:
-            yield inst.xi
-            yield inst.c1
-            yield inst.c2
-            yield inst.eta
-            yield from inst.ds
-        for orb in self.cocyclegap_orbits:
-            yield orb.orbit
+        for _, name, _, keys in _BOUNDARY_RECORDS:
+            for inst in getattr(self, name):
+                for (_, kind), value in zip(keys, _field_values(inst)):
+                    yield from kind.words(value)
 
 
 @dataclass(frozen=True)
@@ -571,6 +553,18 @@ def periodic_orbits(sys: SftSystem, p_max: int) -> list[PeriodicOrbit]:
 # ----------------------------------------------------------------------
 # JSON serialization of systems (bit-exact round trip)
 
+def json_int(x) -> int:
+    """x itself when it is a JSON integer; ValueError for anything else,
+    a float such as 2.0, a string or a boolean included."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _word_from_json(obj: Sequence) -> Symbols:
+    return tuple(json_int(s) for s in obj)
+
+
 def seg_to_json(seg: Seg) -> list:
     if seg.is_gap:
         return ["gap", list(seg.word), seg.ordinal]
@@ -579,8 +573,8 @@ def seg_to_json(seg: Seg) -> list:
 
 def seg_from_json(obj: Sequence) -> Seg:
     if obj[0] == "gap":
-        return Seg("gap", tuple(obj[1]), int(obj[2]))
-    return Seg("cyl", tuple(obj[1]))
+        return Seg("gap", _word_from_json(obj[1]), json_int(obj[2]))
+    return Seg("cyl", _word_from_json(obj[1]))
 
 
 def _layout_to_json(layout: GapLayout) -> dict:
@@ -596,128 +590,67 @@ def _layout_from_json(obj: Mapping) -> GapLayout:
     for name, lst in obj["entries"].items():
         key = None if name == "root" else int(name)
         entries[key] = tuple(
-            (CYL_ENTRY, int(e[1])) if e[0] == CYL_ENTRY else (GAP_ENTRY,)
+            (CYL_ENTRY, json_int(e[1])) if e[0] == CYL_ENTRY else (GAP_ENTRY,)
             for e in lst
         )
     return GapLayout(obj["side"], entries)
 
 
+class _FieldKind(NamedTuple):
+    """How a record field is written to JSON, read back, and which words it names."""
+
+    encode: Callable
+    decode: Callable
+    words: Callable
+
+
+_same, _no_words = (lambda v: v), (lambda v: ())
+_TEXT, _INT = _FieldKind(_same, _same, _no_words), _FieldKind(_same, json_int, _no_words)
+_SEG = _FieldKind(seg_to_json, seg_from_json, lambda s: (s.word,))
+_SEGS = _FieldKind(
+    lambda v: list(map(seg_to_json, v)), lambda o: tuple(map(seg_from_json, o)),
+    lambda v: [s.word for s in v],
+)
+_WORD = _FieldKind(list, _word_from_json, lambda w: (w,))
+_WORDS = _FieldKind(lambda v: list(map(list, v)), lambda o: tuple(map(_word_from_json, o)), _same)
+
+# Per record kind: its JSON section, its BoundaryData field, its class, and
+# one (JSON key, field kind) pair per dataclass field, in field order.
+_BOUNDARY_RECORDS = (
+    ("matching", "matching_instances", MatchingInstance, (
+        ("id", _TEXT), ("side", _TEXT), ("left", _SEG), ("right", _SEG),
+        ("chain", _SEGS), ("split", _INT))),
+    ("boundary", "boundary_instances", BoundaryInstance, (
+        ("id", _TEXT), ("side", _TEXT), ("base", _SEG), ("dec_a", _SEGS), ("dec_b", _SEGS))),
+    ("cylindergap", "cylindergap_instances", CylinderGapInstance, (
+        ("id", _TEXT), ("side", _TEXT), ("cyl", _SEG), ("gap", _SEG), ("segments", _SEGS))),
+    ("cylindercylinder", "cylindercylinder_instances", CylinderCylinderInstance, (
+        ("id", _TEXT), ("side", _TEXT), ("xi", _WORD), ("c1", _WORD), ("c2", _WORD),
+        ("eta", _WORD), ("ds", _WORDS), ("split", _INT))),
+    ("cocyclegap", "cocyclegap_orbits", CocycleGapOrbit, (
+        ("id", _TEXT), ("side", _TEXT), ("orbit", _WORD), ("m1_pivot", _INT), ("m2_pivot", _INT))),
+)
+
+
+def _field_values(inst) -> list:
+    return [getattr(inst, f.name) for f in fields(inst)]
+
+
 def _boundary_to_json(data: BoundaryData) -> dict:
     return {
-        "matching": [
-            {
-                "id": i.ident,
-                "side": i.side,
-                "left": seg_to_json(i.left),
-                "right": seg_to_json(i.right),
-                "chain": [seg_to_json(s) for s in i.chain],
-                "split": i.split,
-            }
-            for i in data.matching_instances
-        ],
-        "boundary": [
-            {
-                "id": i.ident,
-                "side": i.side,
-                "base": seg_to_json(i.base),
-                "dec_a": [seg_to_json(s) for s in i.dec_a],
-                "dec_b": [seg_to_json(s) for s in i.dec_b],
-            }
-            for i in data.boundary_instances
-        ],
-        "cylindergap": [
-            {
-                "id": i.ident,
-                "side": i.side,
-                "cyl": seg_to_json(i.pair_cyl),
-                "gap": seg_to_json(i.pair_gap),
-                "segments": [seg_to_json(s) for s in i.segments],
-            }
-            for i in data.cylindergap_instances
-        ],
-        "cylindercylinder": [
-            {
-                "id": i.ident,
-                "side": i.side,
-                "xi": list(i.xi),
-                "c1": list(i.c1),
-                "c2": list(i.c2),
-                "eta": list(i.eta),
-                "ds": [list(d) for d in i.ds],
-                "split": i.split,
-            }
-            for i in data.cylindercylinder_instances
-        ],
-        "cocyclegap": [
-            {
-                "id": i.ident,
-                "side": i.side,
-                "orbit": list(i.orbit),
-                "m1_pivot": i.m1_pivot,
-                "m2_pivot": i.m2_pivot,
-            }
-            for i in data.cocyclegap_orbits
-        ],
+        section: [
+            {key: kind.encode(v) for (key, kind), v in zip(keys, _field_values(inst))}
+            for inst in getattr(data, name)
+        ]
+        for section, name, _, keys in _BOUNDARY_RECORDS
     }
 
 
 def _boundary_from_json(obj: Mapping) -> BoundaryData:
-    return BoundaryData(
-        matching_instances=tuple(
-            MatchingInstance(
-                d["id"],
-                d["side"],
-                seg_from_json(d["left"]),
-                seg_from_json(d["right"]),
-                tuple(seg_from_json(s) for s in d["chain"]),
-                int(d["split"]),
-            )
-            for d in obj.get("matching", [])
-        ),
-        boundary_instances=tuple(
-            BoundaryInstance(
-                d["id"],
-                d["side"],
-                seg_from_json(d["base"]),
-                tuple(seg_from_json(s) for s in d["dec_a"]),
-                tuple(seg_from_json(s) for s in d["dec_b"]),
-            )
-            for d in obj.get("boundary", [])
-        ),
-        cylindergap_instances=tuple(
-            CylinderGapInstance(
-                d["id"],
-                d["side"],
-                seg_from_json(d["cyl"]),
-                seg_from_json(d["gap"]),
-                tuple(seg_from_json(s) for s in d["segments"]),
-            )
-            for d in obj.get("cylindergap", [])
-        ),
-        cylindercylinder_instances=tuple(
-            CylinderCylinderInstance(
-                d["id"],
-                d["side"],
-                tuple(d["xi"]),
-                tuple(d["c1"]),
-                tuple(d["c2"]),
-                tuple(d["eta"]),
-                tuple(tuple(x) for x in d["ds"]),
-                int(d["split"]),
-            )
-            for d in obj.get("cylindercylinder", [])
-        ),
-        cocyclegap_orbits=tuple(
-            CocycleGapOrbit(
-                d["id"],
-                d["side"],
-                tuple(d["orbit"]),
-                int(d["m1_pivot"]),
-                int(d["m2_pivot"]),
-            )
-            for d in obj.get("cocyclegap", [])
-        ),
-    )
+    return BoundaryData(**{
+        name: tuple(cls(*(kind.decode(d[key]) for key, kind in keys)) for d in obj.get(section, []))
+        for section, name, cls, keys in _BOUNDARY_RECORDS
+    })
 
 
 def system_to_json(sys: SftSystem) -> str:
@@ -742,7 +675,8 @@ def system_from_json(text: str) -> SftSystem:
             side: _layout_from_json(spec) for side, spec in obj["layouts"].items()
         }
     boundary = _boundary_from_json(obj["boundary"]) if "boundary" in obj else None
-    return build_sft(int(obj["alphabet"]), obj["matrix"], boundary, layouts)
+    matrix = [[json_int(x) for x in row] for row in obj["matrix"]]
+    return build_sft(json_int(obj["alphabet"]), matrix, boundary, layouts)
 
 
 def save_system(sys: SftSystem, path: str) -> None:

@@ -37,6 +37,7 @@ from .sft import (
     deep_window_of,
     drop_deep,
     enumerate_cylinders,
+    json_int,
     opposite,
     pair_value,
     seg_from_json,
@@ -606,7 +607,7 @@ def solenoid_from_json(text: str) -> SolenoidSpec:
     return SolenoidSpec(
         side=obj["side"],
         domain_kind=obj["domain_kind"],
-        stabilization=int(obj["stabilization"]),
+        stabilization=json_int(obj["stabilization"]),
         values=values,
         holder_alpha=float(obj["holder_alpha"]),
         holder_constant=float(obj["holder_constant"]),

@@ -6,12 +6,12 @@ import math
 
 import pytest
 
-from sftgeom import cli
-from sftgeom.builtins import builtin
+from sftgeom import cli, realize
+from sftgeom.builtins import BUILTIN_NAMES, builtin
 from sftgeom.cli import load_json, load_table, main, write_table
 from sftgeom.cocycle import pair_to_json
-from sftgeom.gibbs import markov_potential, potential_to_json
-from sftgeom.sft import system_to_json
+from sftgeom.gibbs import GibbsMeasure, markov_potential, potential_to_json
+from sftgeom.sft import periodic_orbits, system_to_json
 from sftgeom.solenoid import from_realization, solenoid_to_json
 
 
@@ -145,6 +145,10 @@ def _first_layout(obj):
     return next(iter(obj["layouts"].values()))
 
 
+def _record(obj, section):
+    return obj["boundary"][section][0]
+
+
 _TOY = builtin("da-attractor-toy")
 # per kind of input file: a well-formed file, the command line up to the
 # file's path, and the kind as the error message names it
@@ -183,6 +187,19 @@ _INPUTS = {
         ("system", lambda o: _first_layout(o)["entries"].update(root=[[]])),
         ("solenoid", lambda o: o["values"][0].__setitem__(0, [])),
         ("solenoid", lambda o: o.update(stabilization=math.inf)),
+        ("system", lambda o: _record(o, "cylindercylinder").update(split=2.5)),
+        ("system", lambda o: _record(o, "cocyclegap").update(m2_pivot=1.5)),
+        ("system", lambda o: _record(o, "cylindercylinder")["xi"].__setitem__(-1, 0.5)),
+        ("system", lambda o: _record(o, "cylindergap")["gap"].__setitem__(1, [0.5])),
+        ("system", lambda o: _record(o, "cylindergap").pop("id")),
+        ("system", lambda o: _record(o, "cylindergap").update(segments=5)),
+        ("system", lambda o: o.update(alphabet=2.0)),
+        ("system", lambda o: o["matrix"][0].__setitem__(0, 1.0)),
+        ("system", lambda o: _first_layout(o)["entries"]["root"][0].__setitem__(1, 0.0)),
+        ("system", lambda o: _record(o, "cylindergap")["segments"][0][1].__setitem__(0, True)),
+        ("solenoid", lambda o: o.update(stabilization=2.9)),
+        ("pair", lambda o: o["gaps"].update(depth=0.5)),
+        ("potential", lambda o: o.update(range=1.7)),
     ],
     ids=[
         "pair-levels-list",
@@ -197,6 +214,19 @@ _INPUTS = {
         "system-empty-entry",
         "solenoid-empty-segment",
         "solenoid-stabilization-1e999",
+        "system-split-2.5",
+        "system-pivot-1.5",
+        "system-xi-symbol-0.5",
+        "system-gap-mother-symbol-0.5",
+        "system-missing-id",
+        "system-segments-5",
+        "system-alphabet-2.0",
+        "system-matrix-entry-1.0",
+        "system-layout-symbol-0.0",
+        "system-segment-symbol-true",
+        "solenoid-stabilization-2.9",
+        "pair-depth-0.5",
+        "potential-range-1.7",
     ],
 )
 def test_malformed_file_content_exits_2(tmp_path, capsys, kind, edit):
@@ -206,6 +236,34 @@ def test_malformed_file_content_exits_2(tmp_path, capsys, kind, edit):
     err = capsys.readouterr().err
     assert f"malformed {what} file" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_livsic_computes_each_eigenvalue_once(tmp_path, monkeypatch, name):
+    calls = []
+    real = realize.eigenvalue
+
+    def counted(tt, orbit):
+        calls.append(orbit)
+        return real(tt, orbit)
+
+    monkeypatch.setattr(realize, "eigenvalue", counted)
+    monkeypatch.setattr(cli, "eigenvalue", counted)
+    assert run_cli(name, "livsic", "--p-max", "6", "--out", str(tmp_path)) == 0
+    assert len(calls) == 2 * len(periodic_orbits(builtin(name).sys, 6))
+
+
+def test_builtin_run_builds_one_gibbs_measure(tmp_path, monkeypatch):
+    built = []
+    real = GibbsMeasure.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(GibbsMeasure, "__init__", counted)
+    assert run_cli("horseshoe", "gibbs", "--out", str(tmp_path)) == 0
+    assert len(built) == 1
 
 
 def test_two_tasks_run_on_a_system_file(tmp_path):

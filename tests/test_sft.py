@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
+from sftgeom.builtins import builtin
 from sftgeom.errors import (
     InadmissibleBoundaryWord,
     MalformedInstance,
@@ -13,7 +15,12 @@ from sftgeom.errors import (
     TooShallow,
 )
 from sftgeom.sft import (
+    SIDES,
     BoundaryData,
+    BoundaryInstance,
+    CocycleGapOrbit,
+    CylinderCylinderInstance,
+    CylinderGapInstance,
     GapLayout,
     MatchingInstance,
     PeriodicOrbit,
@@ -25,6 +32,7 @@ from sftgeom.sft import (
     deep_window_of,
     enumerate_cylinders,
     gap,
+    json_int,
     mother,
     periodic_orbits,
     system_from_json,
@@ -292,3 +300,121 @@ def test_json_round_trip(tmp_path):
     loaded = load_system(str(path))
     save_system(loaded, str(tmp_path / "copy.json"))
     assert (tmp_path / "copy.json").read_text() == text
+
+
+# SHA-256 of system_to_json(builtin(name).sys); golden-anosov and
+# da-attractor-toy together carry all five boundary record kinds.
+BUILTIN_SYSTEM_SHA256 = {
+    "horseshoe": "27e02f039bfcab162515553a0c7c368b077893e1ca22c208d67ebe54b7fe7adf",
+    "golden-anosov": "d5ab74d566fd177dbeb5d1bc9ef9c36980b80d787142545a6f31ac9cc9fd464f",
+    "cantor-third": "27e02f039bfcab162515553a0c7c368b077893e1ca22c208d67ebe54b7fe7adf",
+    "da-attractor-toy": "48a3ca90cfb1809c9c7ae31aa7dd2022332dd7d01c8de8f3ce334166ddb27675",
+}
+BOUNDARY_SECTIONS = {"matching", "boundary", "cylindergap", "cylindercylinder", "cocyclegap"}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEM_SHA256))
+def test_builtin_system_files_are_pinned(name):
+    text = system_to_json(builtin(name).sys)
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_SYSTEM_SHA256[name]
+
+
+def test_pinned_builtins_carry_every_record_kind():
+    carried = {
+        section
+        for name in ("golden-anosov", "da-attractor-toy")
+        for section, records in json.loads(system_to_json(builtin(name).sys))["boundary"].items()
+        if records
+    }
+    assert carried == BOUNDARY_SECTIONS
+
+
+# Primitive matrices whose admissible words the records below are drawn over.
+RECORD_MATRICES = (FULL2, GOLDEN, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+
+
+@st.composite
+def boundary_systems(draw):
+    """A system with one or two records of every boundary kind, all of them
+    over admissible words and within the instance rules of build_sft."""
+    matrix = draw(st.sampled_from(RECORD_MATRICES))
+    k = len(matrix)
+
+    def word(min_size=1):
+        out: list[int] = []
+        for _ in range(draw(st.integers(min_size, 4))):
+            nxt = [b for b in range(k) if not out or matrix[out[-1]][b]]
+            out.append(draw(st.sampled_from(nxt)))
+        return tuple(out)
+
+    def seg(kind=None):
+        if (kind or draw(st.sampled_from(("cyl", "gap")))) == "cyl":
+            return cyl(word())
+        return gap(word(0), draw(st.integers(0, 3)))
+
+    def segs(n_min, last=None):
+        body = [seg() for _ in range(draw(st.integers(n_min, 4)))]
+        return tuple(body[:-1] + [seg(last)]) if last else tuple(body)
+
+    def head():
+        return draw(st.text(max_size=6)), draw(st.sampled_from(SIDES))
+
+    def records(make):
+        return tuple(make() for _ in range(draw(st.integers(1, 2))))
+
+    def matching():
+        left, right, chain = seg(), seg(), segs(2)
+        return MatchingInstance(*head(), left, right, chain, draw(st.integers(1, len(chain) - 1)))
+
+    def cylinder_cylinder():
+        xi, c1, c2, eta = word(), word(), word(), word()
+        ds = tuple(word() for _ in range(draw(st.integers(2, 4))))
+        return CylinderCylinderInstance(*head(), xi, c1, c2, eta, ds, draw(st.integers(2, len(ds))))
+
+    data = BoundaryData(
+        matching_instances=records(matching),
+        boundary_instances=records(lambda: BoundaryInstance(*head(), seg(), segs(1), segs(1))),
+        cylindergap_instances=records(
+            lambda: CylinderGapInstance(*head(), seg("cyl"), seg("gap"), segs(2, "gap"))
+        ),
+        cylindercylinder_instances=records(cylinder_cylinder),
+        cocyclegap_orbits=records(
+            lambda: CocycleGapOrbit(
+                *head(), word(), draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            )
+        ),
+    )
+    return build_sft(k, matrix, boundary=data)
+
+
+def _words_by_hand(data: BoundaryData) -> list:
+    out = []
+    for m in data.matching_instances:
+        out += [m.left.word, m.right.word, *(s.word for s in m.chain)]
+    for b in data.boundary_instances:
+        out += [b.base.word, *(s.word for s in b.dec_a), *(s.word for s in b.dec_b)]
+    for c in data.cylindergap_instances:
+        out += [c.pair_cyl.word, c.pair_gap.word, *(s.word for s in c.segments)]
+    for c in data.cylindercylinder_instances:
+        out += [c.xi, c.c1, c.c2, c.eta, *c.ds]
+    for o in data.cocyclegap_orbits:
+        out.append(o.orbit)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(boundary_systems())
+def test_every_boundary_record_kind_round_trips(sys):
+    text = system_to_json(sys)
+    assert set(json.loads(text)["boundary"]) == BOUNDARY_SECTIONS
+    again = system_from_json(text)
+    assert again == sys
+    assert system_to_json(again) == text
+    assert list(sys.boundary_data.all_words()) == _words_by_hand(sys.boundary_data)
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, "2", True, None, [2]])
+def test_json_int_accepts_only_json_integers(bad):
+    assert json_int(3) == 3 and json_int(-1) == -1
+    with pytest.raises(ValueError):
+        json_int(bad)
