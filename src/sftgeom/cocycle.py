@@ -28,7 +28,6 @@ from .gibbs import GibbsMeasure
 from .realize import RatioTable
 from .sft import (
     SIDES,
-    U_SIDE,
     BoundaryData,
     Seg,
     Symbols,
@@ -39,6 +38,7 @@ from .sft import (
     drop_deep,
     enumerate_cylinders,
     json_int,
+    opposite,
     pair_value,
 )
 
@@ -59,16 +59,6 @@ def _descriptor_symbols(x: Union[Word, Sequence[int]], side: str) -> Symbols:
             raise NotInDomain(f"descriptor is a {x.side!r} word, table is {side!r}")
         return x.symbols
     return tuple(x)
-
-
-def _pivot_symbol(syms: Symbols, side: str) -> int:
-    return syms[0] if side == U_SIDE else syms[-1]
-
-
-def _with_pivot(syms: Symbols, symbol: int, side: str) -> Symbols:
-    if side == U_SIDE:
-        return (symbol,) + syms[1:]
-    return syms[:-1] + (symbol,)
 
 
 def _word_str(syms: Symbols) -> str:
@@ -398,6 +388,7 @@ def cocycle_gap_rows(
         if data is None:
             raise MissingBoundaryData("system carries no boundary records")
     side = pair.side
+    back = opposite(side)  # the pivot end of a `side` word is the deep end on `back`
     orbits = [o for o in data.cocyclegap_orbits if o.side == side]
     out: list[TransportRow] = []
     if not orbits:
@@ -413,9 +404,9 @@ def cocycle_gap_rows(
         for n in range(1, depth + 1):
             for w in enumerate_cylinders(sys, n, side):
                 syms = w.symbols
-                if _pivot_symbol(syms, side) != inst.m2_pivot:
+                if w.pivot != inst.m2_pivot:
                     continue
-                rel = _with_pivot(syms, inst.m1_pivot, side)
+                rel = deep_extend(drop_deep(syms, back), inst.m1_pivot, back)
                 if not sys.is_admissible(rel):
                     continue
                 if n >= 2:

@@ -24,14 +24,18 @@ from .errors import (
     WordTooShort,
 )
 from .sft import (
-    S_SIDE,
     U_SIDE,
     Seg,
     SftSystem,
     Symbols,
     Word,
+    deep_extend,
+    deep_window_of,
+    drop_deep,
     enumerate_cylinders,
     json_int,
+    mother,
+    opposite,
     window_transitions,
 )
 
@@ -333,47 +337,38 @@ class GibbsMeasure:
         for i, j, word in moves:
             Tx[i][j] = W[word[-self.span :]]
 
-        seen: set[Fraction] = set()
-        candidates = []
-        for cand in (
-            Fraction(self.lam).limit_denominator(RATIONALIZE_DENOMINATOR),
-            Fraction(round(self.lam)),
-        ):
-            if cand > 0 and cand not in seen:
-                seen.add(cand)
-                candidates.append(cand)
-        for lam in candidates:
-            if abs(float(lam) - self.lam) > EXACT_MATCH_TOL:
-                continue
-            M = [
-                [Tx[i][j] - (lam if i == j else 0) for j in range(nb)]
-                for i in range(nb)
-            ]
-            u = _kernel_vector(M)
-            v = _kernel_vector([list(col) for col in zip(*M)])
-            if u is None or v is None:
-                continue
-            if all(x <= 0 for x in u):
-                u = [-x for x in u]
-            if all(x <= 0 for x in v):
-                v = [-x for x in v]
-            if any(x <= 0 for x in u) or any(x <= 0 for x in v):
-                continue
-            su = sum(u)
-            u = [x / su for x in u]
-            dot = sum(a * b for a, b in zip(v, u))
-            v = [x / dot for x in v]
-            ok_u = all(
-                sum(Tx[i][j] * u[j] for j in range(nb)) == lam * u[i]
-                for i in range(nb)
-            )
-            ok_v = all(
-                sum(v[i] * Tx[i][j] for i in range(nb)) == lam * v[j]
-                for j in range(nb)
-            )
-            if ok_u and ok_v:
-                return lam, Tx, u, v
-        return None
+        # The one candidate: an integer within EXACT_MATCH_TOL of lam is
+        # nearer to it than any other fraction of denominator <= 10**6.
+        lam = Fraction(self.lam).limit_denominator(RATIONALIZE_DENOMINATOR)
+        if not lam > 0 or abs(float(lam) - self.lam) > EXACT_MATCH_TOL:
+            return None
+        M = [
+            [Tx[i][j] - (lam if i == j else 0) for j in range(nb)]
+            for i in range(nb)
+        ]
+        u = _kernel_vector(M)
+        v = _kernel_vector([list(col) for col in zip(*M)])
+        if u is None or v is None:
+            return None
+        if all(x <= 0 for x in u):
+            u = [-x for x in u]
+        if all(x <= 0 for x in v):
+            v = [-x for x in v]
+        if any(x <= 0 for x in u) or any(x <= 0 for x in v):
+            return None
+        su = sum(u)
+        u = [x / su for x in u]
+        dot = sum(a * b for a, b in zip(v, u))
+        v = [x / dot for x in v]
+        ok_u = all(
+            sum(Tx[i][j] * u[j] for j in range(nb)) == lam * u[i]
+            for i in range(nb)
+        )
+        ok_v = all(
+            sum(v[i] * Tx[i][j] for i in range(nb)) == lam * v[j]
+            for j in range(nb)
+        )
+        return (lam, Tx, u, v) if ok_u and ok_v else None
 
     @property
     def exact(self) -> bool:
@@ -444,19 +439,15 @@ class GibbsMeasure:
 
     # -- window conditionals ---------------------------------------------
 
-    def append_conditional(self, prefix: Symbols, sym: int) -> float:
-        """measure(prefix + sym) / measure(prefix), window-stabilised.
+    def conditional(self, word: Symbols, side: str) -> float:
+        """measure(word) / measure(mother of word) on `side`, window-stabilised.
 
-        Exact for any prefix: once the prefix is at least one block long
-        the ratio only depends on the deepest block, and shorter prefixes
-        are used whole.
+        Exact for any word: once the mother is at least one block long the
+        ratio only depends on the deepest block + 1 symbols, and shorter
+        words are used whole.
         """
-        window = prefix[-self.block_len :] if len(prefix) > self.block_len else prefix
-        return self.measure(window + (sym,)) / self.measure(window)
-
-    def prepend_conditional(self, sym: int, suffix: Symbols) -> float:
-        window = suffix[: self.block_len] if len(suffix) > self.block_len else suffix
-        return self.measure((sym,) + window) / self.measure(window)
+        window = deep_window_of(word, self.block_len + 1, side)
+        return self.measure(window) / self.measure(drop_deep(window, side))
 
 
 # ----------------------------------------------------------------------
@@ -469,8 +460,8 @@ def measure_scaling(g: GibbsMeasure, w: Word) -> float:
         raise WordTooShort(
             f"scaling needs at least {g.span} symbols, got {len(w)}"
         )
-    shallow = w.symbols[1:] if w.side == U_SIDE else w.symbols[:-1]
-    return g.measure(w.symbols) / g.measure(shallow)
+    # the time-zero end of a word is the deep end on the opposite side
+    return g.measure(w.symbols) / g.measure(drop_deep(w.symbols, opposite(w.side)))
 
 
 @dataclass(frozen=True)
@@ -503,21 +494,12 @@ class AdmissiblePair:
 
 def extended_scaling(g: GibbsMeasure, pair: AdmissiblePair) -> float:
     """Ratio of the cylinder relative to the leaf, as a product of
-    window-stabilised one-symbol conditionals along the cylinder's mothers."""
-    c = pair.c.symbols
-    if len(c) == 1:
-        return 1.0
+    window-stabilised one-symbol conditionals along the cylinder's mothers,
+    shallowest first."""
+    joined = Word(pair.joined, pair.c.side)
     out = 1.0
-    if pair.c.side == U_SIDE:
-        prefix = pair.xi.symbols
-        for sym in c[1:]:
-            out *= g.append_conditional(prefix, sym)
-            prefix = prefix + (sym,)
-    else:
-        suffix = pair.xi.symbols
-        for sym in reversed(c[:-1]):
-            out *= g.prepend_conditional(sym, suffix)
-            suffix = (sym,) + suffix
+    for i in range(len(pair.c) - 2, -1, -1):
+        out *= g.conditional(mother(joined, i).symbols, joined.side)
     return out
 
 
@@ -529,9 +511,8 @@ def ratio_decomposition_residual(g: GibbsMeasure, c: Word, depth: int) -> float:
     """
     if depth < 1:
         raise ValueError("leaf depth must be at least 1")
-    opp = S_SIDE if c.side == U_SIDE else U_SIDE
     total = 0.0
-    for xi in enumerate_cylinders(g.sys, depth, opp):
+    for xi in enumerate_cylinders(g.sys, depth, opposite(c.side)):
         if xi.pivot != c.pivot:
             continue
         total += extended_scaling(g, AdmissiblePair(xi, c)) * g.measure(xi.symbols)
@@ -571,28 +552,18 @@ def dual_measure_ratio(
         raise ValueError("continuation length must be non-negative")
     if i.side != side or k.side != side:
         raise NoCommonLeaf("both words must live on the stated side")
-    sys = g.sys
-    if m_dual == 0:
-        ws: list[Symbols] = [()]
-    elif side == S_SIDE:
-        starts = sorted(set(sys.successors(i.pivot)) & set(sys.successors(k.pivot)))
-        ws = [(a,) for a in starts]
-        for _ in range(m_dual - 1):
-            ws = [w + (c,) for w in ws for c in sys.successors(w[-1])]
-    else:
-        ends = sorted(set(sys.predecessors(i.pivot)) & set(sys.predecessors(k.pivot)))
-        ws = [(a,) for a in ends]
-        for _ in range(m_dual - 1):
-            ws = [(c,) + w for w in ws for c in sys.predecessors(w[0])]
-    if not ws:
+    # past the pivot of a `side` word is the deep end on the opposite side
+    back, ext = opposite(side), g.sys.deep_extensions
+    pairs = [(i.symbols, k.symbols)]
+    for _ in range(m_dual):
+        pairs = [
+            (deep_extend(a, c, back), deep_extend(b, c, back))
+            for a, b in pairs
+            for c in sorted(set(ext(a, back)) & set(ext(b, back)))
+        ]
+    if not pairs:
         raise NoCommonLeaf("the pivots admit no common continuation")
-    if side == S_SIDE:
-        num = sum(g.measure(i.symbols + w) for w in ws)
-        den = sum(g.measure(k.symbols + w) for w in ws)
-    else:
-        num = sum(g.measure(w + i.symbols) for w in ws)
-        den = sum(g.measure(w + k.symbols) for w in ws)
-    return num / den
+    return sum(g.measure(a) for a, _ in pairs) / sum(g.measure(b) for _, b in pairs)
 
 
 # ----------------------------------------------------------------------

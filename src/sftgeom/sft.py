@@ -18,8 +18,6 @@ import json
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     InadmissibleBoundaryWord,
     MalformedInstance,
@@ -365,12 +363,13 @@ class SftSystem:
 
 def _primitivity_exponent(k: int, A: Sequence[Sequence[int]]) -> int:
     bound = (k - 1) ** 2 + 1
-    mat = np.array(A, dtype=bool)
-    power = mat.copy()
+    mat = [[bool(x) for x in row] for row in A]
+    cols = list(zip(*mat))
+    power = mat
     for n in range(1, bound + 1):
-        if power.all():
+        if all(map(all, power)):
             return n
-        power = power @ mat
+        power = [[any(a and b for a, b in zip(row, c)) for c in cols] for row in power]
     raise NotPrimitive(
         f"no power up to {(k - 1) ** 2 + 1} of the transition matrix is positive"
     )
@@ -392,12 +391,7 @@ def _validate_layout(sys: SftSystem, layout: GapLayout) -> None:
                 f"{layout.side}-layout for {key} must start and end with cylinders"
             )
         symbols = [e[1] for e in entries if e[0] == CYL_ENTRY]
-        if key is None:
-            wanted = list(range(sys.k))
-        elif layout.side == U_SIDE:
-            wanted = list(sys.successors(key))
-        else:
-            wanted = list(sys.predecessors(key))
+        wanted = list(sys.deep_extensions(() if key is None else (key,), layout.side))
         if sorted(symbols) != sorted(wanted):
             raise ValueError(
                 f"{layout.side}-layout for {key}: cylinders {symbols} do not "
@@ -505,11 +499,8 @@ def mother(w: Word, i: int = 1) -> Word:
         raise ValueError("generation count must be non-negative")
     if i >= len(w.symbols):
         raise TooShallow(f"cannot drop {i} symbols from a length-{len(w)} word")
-    if i == 0:
-        return w
-    if w.side == U_SIDE:
-        return Word(w.symbols[:-i], w.side)
-    return Word(w.symbols[i:], w.side)
+    # what is left is the window at the pivot end: the opposite side's deep end
+    return Word(deep_window_of(w.symbols, len(w) - i, opposite(w.side)), w.side)
 
 
 def _least_rotation(w: Symbols) -> Symbols:

@@ -31,7 +31,6 @@ from .sft import (
     Seg,
     SftSystem,
     Symbols,
-    U_SIDE,
     Word,
     deep_extend,
     deep_window_of,
@@ -553,12 +552,8 @@ def bounded_solenoid_class_check(
     when the realization carries the (delta, pressure) Gibbs class."""
     side = spec.side
     # extended_scaling against the pivot leaf, one window conditional per
-    # step; a conditional reads the mother's last g.block_len symbols
-    cond = (
-        (lambda m, c: g.append_conditional(m, c.word[-1]))
-        if side == U_SIDE
-        else (lambda m, c: g.prepend_conditional(c.word[0], m))
-    )
+    # step; a conditional reads the child's g.block_len + 1 deepest symbols
+    cond = lambda m, c: g.conditional(c.word, side)
     sources = [_size_source(spec, g.sys), _Source(g.sys, side, g.block_len + 1, cond)]
     worst = 0.0
     for n, level in enumerate(_size_levels(sources, n_max), start=2):

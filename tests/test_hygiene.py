@@ -97,3 +97,43 @@ def test_every_parameter_is_read(path):
             params = [p for p in _parameters(node) if p != "self"]
             unread += [f"{node.name}({p})" for p in params if p not in read]
     assert unread == [], f"{path.name} has parameters nothing reads: {unread}"
+
+
+# Modules that join or extend words at their pivot; sft.py states which end
+# of a word is the pivot and which the deep end, and they read it from there.
+SIDE_READERS = ("gibbs.py", "cocycle.py", "solenoid.py")
+SIDE_NAMES = {"U_SIDE", "S_SIDE"}
+# The one place a u-word and an s-word are concatenated in time order.
+SIDE_BRANCH_EXEMPT = ("AdmissiblePair", "joined")
+
+
+def _side_comparisons(tree: ast.Module) -> list[int]:
+    """Lines of comparisons that name U_SIDE or S_SIDE, outside the exempt
+    method."""
+    exempt = {
+        id(n)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == SIDE_BRANCH_EXEMPT[0]
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == SIDE_BRANCH_EXEMPT[1]
+        for n in ast.walk(fn)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and id(node) not in exempt
+        and any(
+            isinstance(n, ast.Name) and n.id in SIDE_NAMES
+            for operand in (node.left, *node.comparators)
+            for n in ast.walk(operand)
+        )
+    )
+
+
+@pytest.mark.parametrize("name", SIDE_READERS)
+def test_word_ends_are_read_through_sft(name):
+    """No u/s branch outside sft.py: a pivot-end operation on one side is
+    the deep-end operation on sft.opposite(side)."""
+    lines = _side_comparisons(_tree(SRC / "sftgeom" / name))
+    assert lines == [], f"{name} compares with U_SIDE/S_SIDE on lines {lines}"
