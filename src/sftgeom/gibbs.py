@@ -263,33 +263,46 @@ def _gap_ratio(steps: list[float], top: float, squarings: int, previous: float) 
     return shrink ** (1.0 / (m * 2**squarings))
 
 
-def _kernel_vector(M: list[list[Fraction]]) -> Optional[list[Fraction]]:
-    """One nonzero kernel vector of a square rational matrix, or None."""
-    n = len(M)
-    A = [row[:] for row in M]
+def _kernel_vector(M: list[dict[int, int]]) -> Optional[list[int]]:
+    """One nonzero kernel vector of a square integer matrix in sparse rows
+    {column: entry}, or None.
+
+    Fraction-free Gauss-Jordan: each column's pivot row is scaled into every
+    other row with an entry there, and each updated row is divided by its
+    gcd.  With f the first column without a pivot, the vector is x[f] = 1
+    and x[c] = -A[r][f] / A[r][c] for the pivot row r of each column c,
+    scaled to coprime integers with x[f] > 0.
+    """
+    rows = [{j: a for j, a in row.items() if a} for row in M]
+    pending = set(range(len(rows)))
     pivot_row_of: dict[int, int] = {}
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, n) if A[i][c] != 0), None)
-        if p is None:
+    for c in range(len(rows)):
+        holders = [i for i in pending if c in rows[i]]
+        if not holders:
             continue
-        A[r], A[p] = A[p], A[r]
-        inv = A[r][c]
-        A[r] = [x / inv for x in A[r]]
-        for i in range(n):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
-        pivot_row_of[c] = r
-        r += 1
-        if r == n:
-            return None
-    free = next(c for c in range(n) if c not in pivot_row_of)
-    x = [Fraction(0)] * n
-    x[free] = Fraction(1)
-    for c, row in pivot_row_of.items():
-        x[c] = -A[row][free]
-    return x
+        p = min(holders, key=lambda i: (len(rows[i]), i))
+        pending.discard(p)
+        for i, row in enumerate(rows):
+            if i != p and c in row:
+                g = math.gcd(rows[p][c], row[c])
+                a, b = rows[p][c] // g, row[c] // g
+                out = {j: a * x for j, x in row.items()}
+                for j, y in rows[p].items():
+                    out[j] = out.get(j, 0) - b * y
+                g = math.gcd(*out.values()) or 1
+                rows[i] = {j: x // g for j, x in out.items() if x}
+        pivot_row_of[c] = p
+    free = next((c for c in range(len(rows)) if c not in pivot_row_of), None)
+    if free is None:
+        return None
+    # A pivot row has entries only at its pivot column and at free columns.
+    scale = math.lcm(*(rows[r][c] for c, r in pivot_row_of.items()))
+    x = [0] * len(rows)
+    x[free] = scale
+    for c, r in pivot_row_of.items():
+        x[c] = -rows[r].get(free, 0) * scale // rows[r][c]
+    g = math.gcd(*x)
+    return [a // g for a in x]
 
 
 class GibbsMeasure:
@@ -320,7 +333,13 @@ class GibbsMeasure:
         if potential.exact_weights is not None:
             self._exact_data = self._try_exact(len(blocks), moves)
         self._cache_float: dict[Symbols, float] = {(): 1.0}
-        self._cache_exact: dict[Symbols, Fraction] = {(): Fraction(1)}
+        # Exact measures of the words up to one block long: sums of v[i] u[i].
+        self._cache_exact: dict[Symbols, Fraction] = {}
+        if self._exact_data is not None:
+            _, u, v, _ = self._exact_data
+            for b, i in self._bindex.items():
+                for t in range(len(b) + 1):
+                    self._cache_exact[b[:t]] = self._cache_exact.get(b[:t], 0) + v[i] * u[i]
 
     # -- exact route ---------------------------------------------------
 
@@ -333,42 +352,32 @@ class GibbsMeasure:
         slack = D * EXACT_MATCH_TOL
         if slack < 0.5 and abs(D * self.lam - round(D * self.lam)) > slack:
             return None
-        Tx = [[Fraction(0)] * nb for _ in range(nb)]
-        for i, j, word in moves:
-            Tx[i][j] = W[word[-self.span :]]
-
         # The one candidate: an integer within EXACT_MATCH_TOL of lam is
         # nearer to it than any other fraction of denominator <= 10**6.
         lam = Fraction(self.lam).limit_denominator(RATIONALIZE_DENOMINATOR)
         if not lam > 0 or abs(float(lam) - self.lam) > EXACT_MATCH_TOL:
             return None
-        M = [
-            [Tx[i][j] - (lam if i == j else 0) for j in range(nb)]
-            for i in range(nb)
-        ]
-        u = _kernel_vector(M)
-        v = _kernel_vector([list(col) for col in zip(*M)])
+        # S * (T - lam I) has integer entries; its sparse rows and columns.
+        S = math.lcm(D, lam.denominator)
+        diag = S // lam.denominator * lam.numerator
+        rows = [{i: -diag} for i in range(nb)]
+        cols = [{i: -diag} for i in range(nb)]
+        for i, j, word in moves:
+            w = W[word[-self.span :]]
+            rows[i][j] = cols[j][i] = rows[i].get(j, 0) + S // w.denominator * w.numerator
+        u, v = _kernel_vector(rows), _kernel_vector(cols)
         if u is None or v is None:
             return None
-        if all(x <= 0 for x in u):
-            u = [-x for x in u]
-        if all(x <= 0 for x in v):
-            v = [-x for x in v]
+        # Each has a positive entry, so a Perron vector is positive throughout.
         if any(x <= 0 for x in u) or any(x <= 0 for x in v):
             return None
-        su = sum(u)
-        u = [x / su for x in u]
-        dot = sum(a * b for a, b in zip(v, u))
-        v = [x / dot for x in v]
-        ok_u = all(
-            sum(Tx[i][j] * u[j] for j in range(nb)) == lam * u[i]
-            for i in range(nb)
-        )
-        ok_v = all(
-            sum(v[i] * Tx[i][j] for i in range(nb)) == lam * v[j]
-            for j in range(nb)
-        )
-        return (lam, Tx, u, v) if ok_u and ok_v else None
+        # T u = lam u and v T = lam v, checked entry by entry in O(nnz).
+        if any(sum(a * y[j] for j, a in r.items()) for A, y in ((rows, u), (cols, v)) for r in A):
+            return None
+        # m(w a) = m(w) * T[i][j] u[j] / (u[i] lam) along the move i -> j.
+        factor = {word: W[word[-self.span :]] * u[j] / (u[i] * lam) for i, j, word in moves}
+        su, dot = sum(u), sum(a * b for a, b in zip(v, u))
+        return lam, [Fraction(x, su) for x in u], [Fraction(x * su, dot) for x in v], factor
 
     @property
     def exact(self) -> bool:
@@ -387,23 +396,20 @@ class GibbsMeasure:
             raise TypeError("measure expects a word, not a segment descriptor")
         return tuple(w)
 
-    def _cylinder(self, syms: Symbols, data: tuple, cache: dict) -> Union[Fraction, float]:
-        """The measure of an admissible word from Perron data (lam, T, u, v).
-
-        A word of at least one block is v[i] * prod T[i][j] * u[i] *
-        lam ** -(n - L) along its blocks; a shorter word sums its block-length
-        extensions.  Fractions in, Fractions out; floats likewise.
-        """
-        out = cache.get(syms)
+    def _cylinder(self, syms: Symbols) -> float:
+        """The float measure of an admissible word: v[i] * prod T[i][j] * u[i]
+        * lam ** -(n - L) along its blocks, or for a word shorter than a block
+        the sum over its block-length extensions."""
+        out = self._cache_float.get(syms)
         if out is not None:
             return out
-        lam, T, u, v = data
+        lam, T, u, v = self._float_data
         L = self.block_len
         if len(syms) < L:
             words = [syms]
             while len(words[0]) < L:
                 words = [w + (c,) for w in words for c in self.sys.successors(w[-1])]
-            out = sum(self._cylinder(w, data, cache) for w in words)
+            out = sum(self._cylinder(w) for w in words)
         else:
             i = self._bindex[syms[:L]]
             out = v[i]
@@ -412,29 +418,42 @@ class GibbsMeasure:
                 out *= T[i][j]
                 i = j
             out = out * u[i] * lam ** -(len(syms) - L)
-        cache[syms] = out
+        self._cache_float[syms] = out
         return out
 
     def measure_exact(self, w: Union[Word, Sequence[int]]) -> Fraction:
-        """The cylinder measure as an exact rational (exact mode only)."""
+        """The cylinder measure as an exact rational (exact mode only).
+
+        A word longer than a block extends its longest measured prefix by
+        one stored factor per symbol.
+        """
         if self._exact_data is None:
             raise ValueError("this measure has no exact rational form")
         syms = self._symbols_of(w)
         if not self.sys.is_admissible(syms):
             return Fraction(0)
-        return self._cylinder(syms, self._exact_data, self._cache_exact)
+        cache = self._cache_exact
+        out = cache.get(syms)
+        if out is None:
+            factor, L = self._exact_data[3], self.block_len
+            n = len(syms) - 1
+            while syms[:n] not in cache:
+                n -= 1
+            out = cache[syms[:n]]
+            for end in range(n + 1, len(syms) + 1):
+                out *= factor[syms[end - L - 1 : end]]
+            cache[syms] = out
+        return out
 
     def measure(self, w: Union[Word, Sequence[int]]) -> float:
         """Measure of the cylinder named by a word; 0 when inadmissible."""
         syms = self._symbols_of(w)
         out = self._cache_float.get(syms)
-        if out is not None:
-            return out
-        if not self.sys.is_admissible(syms):
-            return 0.0
-        if self._exact_data is None:
-            return self._cylinder(syms, self._float_data, self._cache_float)
-        out = self._cache_float[syms] = float(self.measure_exact(syms))
+        if out is None:
+            if not self.sys.is_admissible(syms):
+                return 0.0
+            out = self._cylinder(syms) if self._exact_data is None else float(self.measure_exact(syms))
+            self._cache_float[syms] = out
         return out
 
     # -- window conditionals ---------------------------------------------

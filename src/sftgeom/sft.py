@@ -441,7 +441,7 @@ def build_sft(
         raise ValueError("transition matrix must be k x k")
     for row in matrix:
         for x in row:
-            if int(x) not in (0, 1):
+            if x not in (0, 1):
                 raise ValueError("transition matrix entries must be 0 or 1")
     exponent = _primitivity_exponent(k, matrix)
     sys = SftSystem(k, matrix, exponent, layouts, boundary)

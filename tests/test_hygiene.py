@@ -137,3 +137,14 @@ def test_word_ends_are_read_through_sft(name):
     the deep-end operation on sft.opposite(side)."""
     lines = _side_comparisons(_tree(SRC / "sftgeom" / name))
     assert lines == [], f"{name} compares with U_SIDE/S_SIDE on lines {lines}"
+
+
+def test_the_kernel_is_fraction_free():
+    """gibbs._kernel_vector eliminates over integers: no Fraction in its body."""
+    tree = _tree(SRC / "sftgeom" / "gibbs.py")
+    kernel = next(
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_kernel_vector"
+    )
+    names = {n.id for n in ast.walk(kernel) if isinstance(n, ast.Name)}
+    attrs = {n.attr for n in ast.walk(kernel) if isinstance(n, ast.Attribute)}
+    assert "Fraction" not in names | attrs

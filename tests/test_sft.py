@@ -65,6 +65,13 @@ def test_matrix_validation():
         build_sft(2, [[1, 2], [1, 1]])
 
 
+@pytest.mark.parametrize("entry", [0.5, 0.999, 1.5, -1, float("nan"), "1"])
+def test_matrix_entries_other_than_zero_or_one_are_refused(entry):
+    # 0.5 once truncated to 0 while the primitivity test read it as true
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        build_sft(2, [[1, entry], [1, 1]])
+
+
 def test_successors_predecessors():
     sys = build_sft(2, GOLDEN)
     assert sys.successors(0) == (0, 1)
