@@ -89,6 +89,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
+class _FloatTexts(dict):
+    """%.17g texts, each made on first lookup; zeros are not kept (0.0 and -0.0 are one key)."""
+
+    def __missing__(self, x: float) -> str:
+        text = f"{x:.17g}"
+        return self.setdefault(x, text) if x else text
+
+
 def _render_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -123,10 +131,11 @@ def _dotted(symbols: Sequence[int]) -> str:
 
 
 class ReportTable(NamedTuple):
-    """A report before it is written: raw cells, rendered by write_table.
+    """A report before it is written: text cells, joined by write_table.
 
     `rows` is any sized, re-iterable collection of rows: a list, or a lazy
-    view such as `LazyRows` that makes its rows as it is iterated.
+    view such as `LazyRows` that makes its rows as it is iterated.  make_table
+    renders a list of value rows with _fmt, once; a LazyRows view yields text.
     """
 
     version: str
@@ -148,30 +157,32 @@ class LazyRows:
 
 
 def make_table(version: str, columns: Sequence[str], rows: Collection[tuple]) -> ReportTable:
+    rows = rows if isinstance(rows, LazyRows) else [tuple(map(_fmt, row)) for row in rows]
     return ReportTable(version, tuple(columns), rows)
 
 
 def write_table(table: ReportTable, path: Union[str, Path], fmt: str) -> None:
-    """Render and write the table one row at a time; every cell is written
-    as _fmt of its value (a JSON string in the json format)."""
+    """Write the table one row at a time, each text cell as it is (a JSON
+    string in the json format)."""
     with open(path, "w", newline="") as fh:
         if fmt == "csv":
             fh.write(f"# tables-version={table.version}\n{','.join(table.columns)}\n")
-            for row in table.rows:
-                fh.write(",".join(map(_fmt, row)) + "\n")
+            tmpl = ",".join(["%s"] * len(table.columns)) + "\n"
+            fh.writelines(map(tmpl.__mod__, table.rows))
             return
         # _render_json of the whole table, keys in sorted order
         fh.write(f'{{\n  "columns": {_render_json(list(table.columns), 1)},\n  "rows": [')
         sep = "\n    "
         for row in table.rows:
-            fh.write(sep + _render_json([_fmt(v) for v in row], 2))
+            fh.write(sep + _render_json(list(row), 2))
             sep = ",\n    "
         fh.write("]" if sep == "\n    " else "\n  ]")
         fh.write(f',\n  "tables_version": {_render_json(table.version, 1)}\n}}\n')
 
 
 def load_table(path: Union[str, Path]) -> ReportTable:
-    """Reload an exported table; inverse of write_table for both formats."""
+    """Reload an exported table; inverse of write_table for both formats.
+    Only a row's first cell, its label, may hold commas."""
     path = Path(path)
     text = path.read_text()
     if path.suffix == ".json":
@@ -186,7 +197,7 @@ def load_table(path: Union[str, Path]) -> ReportTable:
         raise ParseError(f"{path} does not look like an exported table")
     version = lines[0].split("=", 1)[1]
     columns = tuple(lines[1].split(","))
-    rows = tuple(tuple(line.split(",")) for line in lines[2:])
+    rows = tuple(tuple(line.rsplit(",", len(columns) - 1)) for line in lines[2:])
     return ReportTable(version, columns, rows)
 
 
@@ -417,15 +428,15 @@ def _task_synthesize(ctx: _Ctx) -> TaskOutcome:
     def rows():
         # Rows of one depth: each cylinder, then the gaps among its children.
         for n, level in enumerate(walk.levels(depth, "", dotted)):
-            here, below = str(n), str(n + 1)
+            here, below, lengths = str(n), str(n + 1), _FloatTexts()
             for label, base, state, made in level:
                 if n > 0:
-                    yield (label, texts[made], base, here)
+                    yield (label, texts[made], lengths[base], here)
                 if n < depth:
                     for i in walk.children(state):
                         gap, key, r, _ = walk.moves[i]
                         if gap:
-                            yield (f"{label}#{key}", texts[i], base * r, below)
+                            yield (f"{label}#{key}", texts[i], lengths[base * r], below)
 
     worst = 0.0
     # Read states are the states of the mothers above the last depth.
@@ -536,14 +547,8 @@ def run(scn: Scenario) -> int:
             print(f"{task}: {e}", file=_stdsys.stderr)
             outcomes.append(TaskOutcome(task, "inadmissible", None, None, str(e)))
             saw_inadmissible = True
-    if parse_failed:
-        code = 2
-    elif saw_inadmissible:
-        code = 4
-    elif any(o.status != "ok" for o in outcomes):
-        code = 3
-    else:
-        code = 0
+    failed = any(o.status != "ok" for o in outcomes)
+    code = 2 if parse_failed else 4 if saw_inadmissible else 3 if failed else 0
     summary = {
         "source": scn.source,
         "tables_version": ctx.version,

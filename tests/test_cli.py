@@ -576,3 +576,20 @@ def test_deep_normal_lengths_still_report(tmp_path):
     lengths = [float(row[2]) for row in load_table(tmp_path / "synthesize.csv").rows]
     assert len(lengths) == 196605
     assert min(lengths) == pytest.approx(2.6e-288, rel=0.1)
+
+
+def test_csv_labels_that_hold_commas_load_whole(tmp_path, monkeypatch):
+    """solenoid-check labels such as "toy-fiber/x0:step:(0,1)" hold commas;
+    each row still loads as one cell per column, its label as written."""
+    written = []
+
+    def recording(table, path, fmt):
+        write_table(table, path, fmt)
+        written.append(table)
+
+    monkeypatch.setattr(cli, "write_table", recording)
+    assert run_cli("da-attractor-toy", "solenoid-check", "--out", str(tmp_path)) == 0
+    table = load_table(tmp_path / "solenoid-check.csv")
+    assert all(len(row) == len(table.columns) for row in table.rows)
+    assert [row[0] for row in table.rows] == [row[0] for row in written[0].rows]
+    assert sum("," in row[0] for row in table.rows) > 200

@@ -148,3 +148,13 @@ def test_the_kernel_is_fraction_free():
     names = {n.id for n in ast.walk(kernel) if isinstance(n, ast.Name)}
     attrs = {n.attr for n in ast.walk(kernel) if isinstance(n, ast.Attribute)}
     assert "Fraction" not in names | attrs
+
+
+def test_write_table_only_joins_text():
+    """cli.write_table renders no value: its cells are text, rendered once
+    where the table is made."""
+    tree = _tree(SRC / "sftgeom" / "cli.py")
+    writer = next(
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "write_table"
+    )
+    assert "_fmt" not in {n.id for n in ast.walk(writer) if isinstance(n, ast.Name)}
