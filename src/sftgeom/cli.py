@@ -133,9 +133,9 @@ def _dotted(symbols: Sequence[int]) -> str:
 class ReportTable(NamedTuple):
     """A report before it is written: text cells, joined by write_table.
 
-    `rows` is any sized, re-iterable collection of rows: a list, or a lazy
-    view such as `LazyRows` that makes its rows as it is iterated.  make_table
-    renders a list of value rows with _fmt, once; a LazyRows view yields text.
+    `rows` is any sized, re-iterable collection of text rows, such as a
+    `LazyRows` view that makes its rows as it is iterated.  make_table wraps
+    a collection of value rows in a view that renders each with _fmt.
     """
 
     version: str
@@ -157,8 +157,11 @@ class LazyRows:
 
 
 def make_table(version: str, columns: Sequence[str], rows: Collection[tuple]) -> ReportTable:
-    rows = rows if isinstance(rows, LazyRows) else [tuple(map(_fmt, row)) for row in rows]
-    return ReportTable(version, tuple(columns), rows)
+    # Rendered as written, so the text rows are never all held; tuple([...])
+    # reuses a freed row's slot, where tuple(map(...)) parks 2,000 rows.
+    text = rows if isinstance(rows, LazyRows) else LazyRows(
+        len(rows), lambda: (tuple([_fmt(v) for v in row]) for row in rows))
+    return ReportTable(version, tuple(columns), text)
 
 
 def write_table(table: ReportTable, path: Union[str, Path], fmt: str) -> None:

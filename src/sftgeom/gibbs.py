@@ -430,8 +430,10 @@ class GibbsMeasure:
         if self._exact_data is None:
             raise ValueError("this measure has no exact rational form")
         syms = self._symbols_of(w)
-        if not self.sys.is_admissible(syms):
-            return Fraction(0)
+        return self._exact_walk(syms) if self.sys.is_admissible(syms) else Fraction(0)
+
+    def _exact_walk(self, syms: Symbols) -> Fraction:
+        """measure_exact of a word already found admissible."""
         cache = self._cache_exact
         out = cache.get(syms)
         if out is None:
@@ -452,7 +454,7 @@ class GibbsMeasure:
         if out is None:
             if not self.sys.is_admissible(syms):
                 return 0.0
-            out = self._cylinder(syms) if self._exact_data is None else float(self.measure_exact(syms))
+            out = self._cylinder(syms) if self._exact_data is None else float(self._exact_walk(syms))
             self._cache_float[syms] = out
         return out
 

@@ -92,9 +92,10 @@ class RatioTable:
         rows, cols, words = zip(*moves)
         return rows, cols, [self.ratio_of(cyl(w)) for w in words], len(windows)
 
-
-def _ratio_source(x):
-    return getattr(x, "ratio", x)
+    @cached_property
+    def _cylinder_ratios(self) -> dict[Symbols, float]:
+        """Cylinder entries by word; a deeper cylinder reads its deep-end window."""
+        return {seg.word: r for seg, r in self.ratios.items() if not seg.is_gap}
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ class TrainTrackRealization:
     window_depth: int
     lengths: Mapping[Symbols, float]
     gap_lengths: Mapping[tuple[Symbols, int], float]
-    ratio: object
+    ratio: RatioTable
 
     def _cyl_length(self, word: Symbols) -> float:
         hit = self.lengths.get(word)
@@ -308,7 +309,7 @@ def pressure_of(x, delta: float) -> float:
     the zero pattern stays).  The pattern and its ratios are derived once
     per table, so a table's `ratios` must not change after its first use.
     """
-    rows, cols, ratios, n = _ratio_source(x)._transitions
+    rows, cols, ratios, n = getattr(x, "ratio", x)._transitions
     T = np.zeros((n, n))
     T[rows, cols] = [r**delta for r in ratios]
     lam, _ = perron(T)
@@ -358,16 +359,21 @@ def eigenvalue(tt: TrainTrackRealization, orbit: PeriodicOrbit) -> float:
     """Expansion factor of the periodic point under one period, from lengths.
 
     The reciprocal of the product of child ratios along one period at the
-    stabilized deep end.
+    stabilized deep end, each the table entry of its deep-end window.
     """
     rep, p = orbit.representative, orbit.period
     if not tt.sys.is_admissible(rep + rep):
         raise NotInDomain(f"orbit word {rep} is not admissible")
-    src, anchor = _ratio_source(tt), 0 if tt.side == U_SIDE else -1
-    base = tt.window_depth + p + 2
-    prod = 1.0
+    wd, u, windows = tt.window_depth, tt.side == U_SIDE, tt.ratio._cylinder_ratios
+    ring, base, prod = rep * (wd // p + 2), wd + p + 2, 1.0
     for m in range(base + 1, base + p + 1):
-        prod *= src.ratio_of(cyl(_cyclic_window(rep, anchor, m, tt.side)))
+        # the window ends the length-m word of rep^Z from 0 ("u") or to -1 ("s")
+        start = (m - wd) % p if u else -m % p
+        r = windows.get(ring[start : start + wd])
+        if r is None:
+            word = _cyclic_window(rep, 0 if u else -1, m, tt.side)
+            raise MissingPairValue(f"no ratio stored for {cyl(word)}")
+        prod *= r
     return 1.0 / prod
 
 

@@ -294,6 +294,7 @@ class SftSystem:
         self._pred = tuple(
             tuple(a for a in range(k) if self.A[a][b] == 1) for b in range(k)
         )
+        self._pairs = frozenset((a, b) for a in range(k) for b in self._succ[a])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SftSystem):
@@ -315,13 +316,9 @@ class SftSystem:
         return self._pred[b]
 
     def is_admissible(self, symbols: Sequence[int]) -> bool:
-        for s in symbols:
-            if not 0 <= s < self.k:
-                return False
-        return all(
-            self.A[symbols[i]][symbols[i + 1]] == 1
-            for i in range(len(symbols) - 1)
-        )
+        if len(symbols) < 2:
+            return all(0 <= s < self.k for s in symbols)
+        return self._pairs.issuperset(zip(symbols, symbols[1:]))  # pairs of alphabet symbols
 
     def word(self, symbols: Sequence[int], side: str) -> Word:
         syms = tuple(symbols)
@@ -503,40 +500,31 @@ def mother(w: Word, i: int = 1) -> Word:
     return Word(deep_window_of(w.symbols, len(w) - i, opposite(w.side)), w.side)
 
 
-def _least_rotation(w: Symbols) -> Symbols:
-    return min(w[i:] + w[:i] for i in range(len(w)))
-
-
-def _least_period(w: Symbols) -> int:
-    n = len(w)
-    for d in range(1, n + 1):
-        if n % d == 0 and w == w[:d] * (n // d):
-            return d
-    return n
-
-
 def periodic_orbits(sys: SftSystem, p_max: int) -> list[PeriodicOrbit]:
     """One representative per cyclic class of least period <= p_max.
 
-    The representative is the least lexicographic rotation, which makes
-    orbit identity deterministic.
+    The representative is the least rotation, a Lyndon word.  Duval's
+    algorithm makes them in lexicographic order (repeat the word to p_max
+    symbols, drop trailing greatest symbols, increment the last), with each
+    repetition cut after its first inadmissible pair: a cut prenecklace is
+    one still, so every word it visits is a Lyndon word.
     """
     if p_max < 0:
         raise ValueError("period bound must be non-negative")
-    seen: set[Symbols] = set()
-    out: list[PeriodicOrbit] = []
-    for p in range(1, p_max + 1):
-        for word in enumerate_cylinders(sys, p, U_SIDE):
-            w = word.symbols
-            if sys.A[w[-1]][w[0]] != 1:
-                continue
-            if _least_period(w) != p:
-                continue
-            canon = _least_rotation(w)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            out.append(PeriodicOrbit(canon, p))
+    A, top, out = sys.A, sys.k - 1, []
+    w = [0] if p_max else []
+    while w:
+        # the symbols before w's last pair are admissible
+        if len(w) == 1 or A[w[-2]][w[-1]]:
+            if A[w[-1]][w[0]]:
+                out.append(PeriodicOrbit(tuple(w), len(w)))
+                w = (w * p_max)[:p_max]
+            elif len(w) < p_max:
+                w.append(w[0])
+        while w and w[-1] == top:
+            w.pop()
+        if w:
+            w[-1] += 1
     out.sort(key=lambda o: (o.period, o.representative))
     return out
 

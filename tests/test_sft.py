@@ -39,6 +39,8 @@ from sftgeom.sft import (
     system_to_json,
 )
 
+from test_window_table import _draw_gapped_system
+
 FULL2 = [[1, 1], [1, 1]]
 GOLDEN = [[1, 1], [1, 0]]
 
@@ -175,6 +177,14 @@ def test_orbit_counts_random_matrices(matrix):
     except NotPrimitive:
         assume(False)
     for p in (1, 2, 3, 4):
+        _orbit_count_identity(sys, p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_orbit_counts_on_generated_gapped_systems(data):
+    sys, _ = _draw_gapped_system(data.draw, lambda key: data.draw(st.booleans()))
+    for p in (1, 2, 3, 4, 5, 6):
         _orbit_count_identity(sys, p)
 
 
