@@ -23,7 +23,6 @@ from .cocycle import (
     CocycleGapPair,
     GapRatios,
     MeasureLengthCocycle,
-    check_cocycle_gap_property,
     cocycle_gap_rows,
     constant_cocycle,
     constant_gap_ratios,
@@ -63,11 +62,9 @@ from .gibbs import (
     dual_measure_ratio,
     extended_scaling,
     markov_potential,
-    measure_ratio,
     measure_scaling,
     potential_from_json,
     potential_to_json,
-    ratio_decomposition_residual,
     uniform_potential,
 )
 from .realize import (
@@ -79,7 +76,6 @@ from .realize import (
     dual_pair,
     eigenvalue,
     eigenvalue_via_measure,
-    hausdorff_dimension,
     lengths_from_ratio,
     livsic_sinai_check,
     natural_measure_check,
@@ -103,10 +99,8 @@ from .sft import (
     cyl,
     enumerate_cylinders,
     gap,
-    load_system,
     mother,
     periodic_orbits,
-    save_system,
     system_from_json,
     system_to_json,
 )
@@ -116,10 +110,6 @@ from .solenoid import (
     boundary_rows,
     bounded_equivalence,
     bounded_solenoid_class_check,
-    check_boundary,
-    check_cylinder_cylinder,
-    check_cylinder_gap,
-    check_matching,
     cylinder_cylinder_rows,
     cylinder_gap_rows,
     extend_scaling,

@@ -30,12 +30,12 @@ from .errors import LengthUnderflow, ParseError, SftGeomError, UnknownBuiltin
 from .gibbs import GibbsMeasure, measure_scaling, potential_from_json, uniform_potential
 from .realize import (
     WindowWalk,
-    _livsic_rows,
     additivity_defect,
     dimension_report,
     dual_pair,
     eigenvalue,
     eigenvalue_via_measure,
+    livsic_sinai_check,
 )
 from .sft import (
     S_SIDE,
@@ -202,10 +202,6 @@ def load_table(path: Union[str, Path]) -> ReportTable:
     columns = tuple(lines[1].split(","))
     rows = tuple(tuple(line.rsplit(",", len(columns) - 1)) for line in lines[2:])
     return ReportTable(version, columns, rows)
-
-
-def load_json(path: Union[str, Path]) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 # ----------------------------------------------------------------------
@@ -378,9 +374,8 @@ def _condition_rows(ctx: _Ctx):
 
 
 def _task_solenoid_check(ctx: _Ctx) -> TaskOutcome:
-    # Condition and transport rows alike are (label, lhs, rhs, residual).
     rows = _condition_rows(ctx)
-    worst = max((r[3] for r in rows), default=0.0)
+    worst = max((r.residual for r in rows), default=0.0)
     return _emit(ctx, "solenoid-check", ("instance", "lhs", "rhs", "residual"), rows, worst)
 
 
@@ -490,7 +485,7 @@ def _task_livsic(ctx: _Ctx) -> TaskOutcome:
     tt_u, tt_s = ctx.b.u.realization, ctx.b.s.realization
     rows = []
     worst = 0.0
-    for orb, lam_u, lam_s, res in _livsic_rows(tt_u, tt_s, ctx.scn.p_max):
+    for orb, lam_u, lam_s, res in livsic_sinai_check(tt_u, tt_s, ctx.scn.p_max):
         rows.append((_dotted(orb.representative), orb.period, lam_u, lam_s, res))
         worst = max(worst, res)
     columns = ("orbit", "period", "lambda_u", "lambda_s", "residual")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import (
     DepthTooShallow,
@@ -26,6 +26,7 @@ from .errors import (
 )
 from .gibbs import GibbsMeasure
 from .realize import RatioTable
+from .solenoid import ConditionRow
 from .sft import (
     SIDES,
     BoundaryData,
@@ -352,15 +353,6 @@ def synthesize_ratio(
     )
 
 
-class TransportRow(NamedTuple):
-    """One transported descriptor: stored value beside the induced one."""
-
-    label: str
-    stored: float
-    induced: float
-    residual: float
-
-
 def cocycle_gap_rows(
     g: GibbsMeasure,
     pair: CocycleGapPair,
@@ -368,7 +360,7 @@ def cocycle_gap_rows(
     pressure: float,
     depth: int = 8,
     data: Optional[BoundaryData] = None,
-) -> list[TransportRow]:
+) -> list[ConditionRow]:
     """Round-trip the pair through the boundary identification.
 
     For every recorded periodic boundary leaf, ratios are synthesized in
@@ -390,7 +382,7 @@ def cocycle_gap_rows(
     side = pair.side
     back = opposite(side)  # the pivot end of a `side` word is the deep end on `back`
     orbits = [o for o in data.cocyclegap_orbits if o.side == side]
-    out: list[TransportRow] = []
+    out: list[ConditionRow] = []
     if not orbits:
         return out
     synth = synthesize_ratio(g, pair, delta, pressure, depth)
@@ -428,23 +420,10 @@ def cocycle_gap_rows(
         for base in range(len(inst.orbit)):
             tag = f"{inst.ident}/x{base}"
             out.extend(
-                TransportRow(f"{tag}:{label}", stored, induced, abs(stored - induced))
+                ConditionRow(f"{tag}:{label}", stored, induced, abs(stored - induced))
                 for label, stored, induced in steps + gap_rows
             )
     return out
-
-
-def check_cocycle_gap_property(
-    g: GibbsMeasure,
-    pair: CocycleGapPair,
-    delta: float,
-    pressure: float,
-    depth: int = 8,
-    data: Optional[BoundaryData] = None,
-) -> list[tuple[str, float]]:
-    """Residuals of the boundary round-trip, one per descriptor row."""
-    rows = cocycle_gap_rows(g, pair, delta, pressure, depth, data)
-    return [(r.label, r.residual) for r in rows]
 
 
 def pair_to_json(pair: CocycleGapPair) -> str:

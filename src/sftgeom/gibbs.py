@@ -45,7 +45,8 @@ POWER_TOL = 1e-14
 POWER_ROUND = 64
 # T ** (2 ** 60) is past any gap ratio a float can tell from one.
 POWER_MAX_SQUARINGS = 60
-# Largest error bound a Perron vector may carry, relative to its largest entry.
+# Largest error bound a Perron vector may carry, relative to its smallest
+# entry (to its largest once the residual is at rounding level).
 PERRON_REL_TOL = 1e-12
 EPS = float(np.finfo(float).eps)
 # Step sizes below this share of the largest entry are rounding noise.
@@ -192,14 +193,18 @@ def perron(T: np.ndarray) -> tuple[float, np.ndarray]:
     one product with T.  The error of the result is bounded by its residual
     divided by the spectral gap 1 - |lambda_2 / lambda_1|, the gap ratio
     being read off the contraction of successive steps.  A settled vector
-    whose bound exceeds PERRON_REL_TOL times its largest entry is iterated
-    further while its residual is above rounding level; past that, or when
-    no round settles, NonConvergentEigensolve is raised.
+    is returned once that bound is at most PERRON_REL_TOL times its
+    smallest entry, so that every entry is accurate relative to itself.
+    Otherwise the iteration goes on until its residual is at rounding level
+    (or no round settles), and the last settled vector whose bound is at
+    most PERRON_REL_TOL times its largest entry is returned;
+    NonConvergentEigensolve is raised when there is none.
     """
     n = T.shape[0]
     x = np.full(n, 1.0 / n)
     P = T
     gap_ratio = 0.0
+    accepted = None
     for squarings in range(POWER_MAX_SQUARINGS + 1):
         steps: list[float] = []
         lam_prev = 0.0
@@ -222,9 +227,13 @@ def perron(T: np.ndarray) -> tuple[float, np.ndarray]:
                 top = float(y.max())
                 floor = EPS * top
                 bound = max(residual, floor) / (1.0 - gap_ratio) if gap_ratio < 1.0 else math.inf
-                if bound <= PERRON_REL_TOL * top:
+                if bound <= PERRON_REL_TOL * float(y.min()):
                     return lam, y
+                if bound <= PERRON_REL_TOL * top:
+                    accepted = lam, y
                 if residual <= floor or steps[-1] <= floor:
+                    if accepted is not None:
+                        return accepted
                     raise NonConvergentEigensolve(
                         f"Perron vector error bound {bound:.3g} exceeds {PERRON_REL_TOL:g} "
                         f"of its largest entry (gap ratio {gap_ratio!r})"
@@ -233,6 +242,8 @@ def perron(T: np.ndarray) -> tuple[float, np.ndarray]:
         gap_ratio = _gap_ratio(steps, float(x.max()), squarings, gap_ratio)
         P = np.einsum("ij,jk->ik", P, P)
         P /= P.max()
+    if accepted is not None:
+        return accepted
     raise NonConvergentEigensolve(
         f"power iteration did not settle after {POWER_MAX_SQUARINGS} squarings"
     )
@@ -522,41 +533,6 @@ def extended_scaling(g: GibbsMeasure, pair: AdmissiblePair) -> float:
     for i in range(len(pair.c) - 2, -1, -1):
         out *= g.conditional(mother(joined, i).symbols, joined.side)
     return out
-
-
-def ratio_decomposition_residual(g: GibbsMeasure, c: Word, depth: int) -> float:
-    """How far the leaf decomposition of a cylinder is from its measure.
-
-    Sums extended_scaling against the measures of all depth-`depth`
-    opposite-side leaves sharing the cylinder's pivot.
-    """
-    if depth < 1:
-        raise ValueError("leaf depth must be at least 1")
-    total = 0.0
-    for xi in enumerate_cylinders(g.sys, depth, opposite(c.side)):
-        if xi.pivot != c.pivot:
-            continue
-        total += extended_scaling(g, AdmissiblePair(xi, c)) * g.measure(xi.symbols)
-    return abs(g.measure(c.symbols) - total)
-
-
-def _as_seg(x: Union[Word, Seg], side: str) -> Seg:
-    if isinstance(x, Word):
-        if x.side != side:
-            raise NoCommonLeaf(f"word is on side {x.side!r}, expected {side!r}")
-        return Seg("cyl", x.symbols)
-    return x
-
-
-def measure_ratio(g: GibbsMeasure, i: Union[Word, Seg], j: Union[Word, Seg], side: str) -> float:
-    """nu(I)/nu(J) for same-side segments; gaps carry no measure."""
-    si = _as_seg(i, side)
-    sj = _as_seg(j, side)
-    if sj.is_gap:
-        raise NoCommonLeaf("denominator segment is a gap")
-    if si.is_gap:
-        return 0.0
-    return g.measure(si.word) / g.measure(sj.word)
 
 
 def dual_measure_ratio(

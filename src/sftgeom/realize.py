@@ -37,6 +37,7 @@ from .sft import (
     Seg,
     SftSystem,
     Symbols,
+    Word,
     cyl,
     deep_window_of,
     drop_deep,
@@ -350,11 +351,6 @@ def dimension_report(x) -> DimensionReport:
     return DimensionReport(delta, abs(pressure_of(x, delta)), steps)
 
 
-def hausdorff_dimension(x) -> float:
-    """The root of the pressure equation; see dimension_report."""
-    return dimension_report(x).delta
-
-
 def eigenvalue(tt: TrainTrackRealization, orbit: PeriodicOrbit) -> float:
     """Expansion factor of the periodic point under one period, from lengths.
 
@@ -402,17 +398,23 @@ def eigenvalue_via_measure(
     rep, p = orbit.representative, orbit.period
     if not g.sys.is_admissible(rep + rep):
         raise NotInDomain(f"orbit word {rep} is not admissible")
-    turn = g.sys.word(_cyclic_window(rep, 0, p + g.block_len, U_SIDE), side)
+    # every window of rep^Z is admissible once rep + rep is
+    turn = Word(_cyclic_window(rep, 0, p + g.block_len, U_SIDE), side)
     weight = g.measure(turn) / g.measure(turn.symbols[: g.block_len])
     return weight ** (-periods / delta) * math.exp(-(p * periods) * pressure / delta)
 
 
-def _livsic_rows(
+def livsic_sinai_check(
     tt_u: TrainTrackRealization,
     tt_s: TrainTrackRealization,
     p_max: int,
 ) -> list[tuple[PeriodicOrbit, float, float, float]]:
-    """(orbit, lam_u, lam_s, residual) per orbit up to p_max; see livsic_sinai_check."""
+    """The eigenvalue formula over all orbits up to p_max.
+
+    For each periodic orbit the two sides must weigh the expansion
+    identically: delta * log(eigenvalue) + period * pressure, side by
+    side.  Returns one (orbit, lam_u, lam_s, residual) row per orbit.
+    """
     if tt_u.sys != tt_s.sys:
         raise MismatchedSystems("the two sides realize different systems")
     if tt_u.side != U_SIDE or tt_s.side != S_SIDE:
@@ -432,20 +434,6 @@ def _livsic_rows(
         )
         rows.append((orbit, lam_u, lam_s, res))
     return rows
-
-
-def livsic_sinai_check(
-    tt_u: TrainTrackRealization,
-    tt_s: TrainTrackRealization,
-    p_max: int,
-) -> list[tuple[PeriodicOrbit, float]]:
-    """Residuals of the eigenvalue formula over all orbits up to p_max.
-
-    For each periodic orbit the two sides must weigh the expansion
-    identically: delta * log(eigenvalue) + period * pressure, side by
-    side.  Returns one (orbit, residual) row per orbit.
-    """
-    return [(orbit, res) for orbit, _, _, res in _livsic_rows(tt_u, tt_s, p_max)]
 
 
 def natural_measure_check(

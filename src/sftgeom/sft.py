@@ -181,9 +181,6 @@ class GapLayout:
                 n_gap += 1
         return out
 
-    def cylinder_children(self, word: Symbols) -> list[Symbols]:
-        return [s.word for s in self.ordered_children(word) if not s.is_gap]
-
     def gap_count(self, word: Symbols) -> int:
         return sum(1 for s in self.ordered_children(word) if s.is_gap)
 
@@ -267,10 +264,6 @@ class PeriodicOrbit:
     representative: Symbols
     period: int
 
-    def rotations(self) -> list[Symbols]:
-        w = self.representative
-        return [w[i:] + w[:i] for i in range(self.period)]
-
 
 class SftSystem:
     """A validated two-sided subshift of finite type."""
@@ -342,10 +335,6 @@ class SftSystem:
 
     def has_layout(self, side: str) -> bool:
         return side in self.layouts
-
-    def delta_is_one(self, side: str) -> bool:
-        """True when the side's train-track has no gaps."""
-        return not self.layout(side).has_gaps
 
     def trace_power(self, p: int) -> int:
         """trace(A ** p), the number of points of period p, in exact integers."""
@@ -656,13 +645,3 @@ def system_from_json(text: str) -> SftSystem:
     boundary = _boundary_from_json(obj["boundary"]) if "boundary" in obj else None
     matrix = [[json_int(x) for x in row] for row in obj["matrix"]]
     return build_sft(json_int(obj["alphabet"]), matrix, boundary, layouts)
-
-
-def save_system(sys: SftSystem, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(system_to_json(sys))
-
-
-def load_system(path: str) -> SftSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return system_from_json(fh.read())

@@ -448,38 +448,6 @@ def cylinder_cylinder_rows(
     return out
 
 
-def _residuals(rows: list[ConditionRow]) -> list[tuple[str, float]]:
-    return [(r.ident, r.residual) for r in rows]
-
-
-def check_matching(
-    spec: SolenoidSpec, sys: SftSystem, data: Optional[BoundaryData] = None
-) -> list[tuple[str, float]]:
-    """Residuals of the matching condition on every recorded instance."""
-    return _residuals(matching_rows(spec, sys, data))
-
-
-def check_boundary(
-    spec: SolenoidSpec, sys: SftSystem, data: Optional[BoundaryData] = None
-) -> list[tuple[str, float]]:
-    """Residuals of the boundary condition on every recorded instance."""
-    return _residuals(boundary_rows(spec, sys, data))
-
-
-def check_cylinder_gap(
-    spec: SolenoidSpec, sys: SftSystem, data: Optional[BoundaryData] = None
-) -> list[tuple[str, float]]:
-    """Residuals of the cylinder-gap condition on every recorded instance."""
-    return _residuals(cylinder_gap_rows(spec, sys, data))
-
-
-def check_cylinder_cylinder(
-    g: GibbsMeasure, data: Optional[BoundaryData] = None
-) -> list[tuple[str, float]]:
-    """Residuals of the cylinder-cylinder condition on every instance."""
-    return _residuals(cylinder_cylinder_rows(g, data))
-
-
 # ----------------------------------------------------------------------
 # equivalence checks
 

@@ -15,7 +15,7 @@ from sftgeom.builtins import BUILTIN_NAMES, builtin
 from sftgeom.cocycle import (
     CocycleGapPair,
     MeasureLengthCocycle,
-    check_cocycle_gap_property,
+    cocycle_gap_rows,
     constant_pair,
     synthesize_ratio,
 )
@@ -24,9 +24,7 @@ from sftgeom.gibbs import (
     GibbsMeasure,
     dual_measure_ratio,
     markov_potential,
-    measure_ratio,
     measure_scaling,
-    ratio_decomposition_residual,
 )
 from sftgeom.realize import (
     dimension_report,
@@ -38,15 +36,14 @@ from sftgeom.realize import (
 from sftgeom.sft import U_SIDE, cyl, enumerate_cylinders, gap, periodic_orbits
 from sftgeom.solenoid import (
     boundary_rows,
-    check_cylinder_cylinder,
-    check_cylinder_gap,
-    check_matching,
+    cylinder_cylinder_rows,
     cylinder_gap_rows,
     from_gibbs,
     from_realization,
     bounded_equivalence,
     matching_rows,
 )
+from test_gibbs import ratio_decomposition_residual
 
 DIM_THIRD = math.log(2.0) / math.log(3.0)
 DIM_HORSE = math.log(2.0) / math.log(2.5)
@@ -137,14 +134,14 @@ def test_criterion_5_livsic_sinai_formula():
         b = builtin(name)
         rows = livsic_sinai_check(b.u.realization, b.s.realization, 8)
         assert rows
-        assert max(r for _, r in rows) < 1e-10, name
+        assert max(res for *_, res in rows) < 1e-10, name
     # negative control: a u side rebuilt over a different measure
     horse = builtin("horseshoe")
     other = GibbsMeasure(horse.sys, markov_potential(horse.sys, MARKOV_ROWS))
     synth = synthesize_ratio(other, constant_pair("u"), DIM_HORSE, 0.0, 8)
     tt_u = lengths_from_ratio(synth)
     rows = livsic_sinai_check(tt_u, horse.s.realization, 8)
-    assert max(r for _, r in rows) > 1e-2
+    assert max(res for *_, res in rows) > 1e-2
     budget.check()
 
 
@@ -197,19 +194,17 @@ def test_criterion_8_condition_checkers():
     golden = builtin("golden-anosov")
     for bs in (golden.u, golden.s):
         spec = from_realization(bs.realization)
-        rows = check_matching(spec, golden.sys) + [
-            (r.ident, r.residual) for r in boundary_rows(spec, golden.sys)
-        ]
+        rows = matching_rows(spec, golden.sys) + boundary_rows(spec, golden.sys)
         assert rows
-        assert max(r for _, r in rows) < 1e-12
+        assert max(r.residual for r in rows) < 1e-12
     toy = builtin("da-attractor-toy")
     spec_s = from_realization(toy.s.realization)
-    rows = check_cylinder_gap(spec_s, toy.sys)
-    assert len(rows) == 4 and max(r for _, r in rows) < 1e-10
-    rows = check_cylinder_cylinder(toy.measure)
-    assert len(rows) == 4 and max(r for _, r in rows) < 1e-10
-    rows = check_cocycle_gap_property(toy.measure, toy.s.pair, 0.5, 0.0, depth=8)
-    assert rows and max(r for _, r in rows) < 1e-10
+    rows = cylinder_gap_rows(spec_s, toy.sys)
+    assert len(rows) == 4 and max(r.residual for r in rows) < 1e-10
+    rows = cylinder_cylinder_rows(toy.measure)
+    assert len(rows) == 4 and max(r.residual for r in rows) < 1e-10
+    rows = cocycle_gap_rows(toy.measure, toy.s.pair, 0.5, 0.0, depth=8)
+    assert rows and max(r.residual for r in rows) < 1e-10
 
     # ten-percent perturbations must be seen
     gspec = from_realization(golden.u.realization)
@@ -227,12 +222,12 @@ def test_criterion_8_condition_checkers():
 
     kappa = MeasureLengthCocycle("s", {(): 1.0, (0,): 1.0, (1,): 1.1})
     bad_pair = CocycleGapPair(kappa, toy.s.pair.gap_ratios)
-    rows = check_cocycle_gap_property(toy.measure, bad_pair, 0.5, 0.0, depth=6)
-    assert max(r for _, r in rows) > 1e-3
+    rows = cocycle_gap_rows(toy.measure, bad_pair, 0.5, 0.0, depth=6)
+    assert max(r.residual for r in rows) > 1e-3
 
     other = GibbsMeasure(toy.sys, markov_potential(toy.sys, MARKOV_ROWS))
-    rows = check_cylinder_cylinder(other)
-    assert max(r for _, r in rows) > 1e-3
+    rows = cylinder_cylinder_rows(other)
+    assert max(r.residual for r in rows) > 1e-3
     budget.check()
 
 
@@ -255,7 +250,7 @@ def test_criterion_9_duality_involution():
             m_dual = rng.randint(1, 3)
             through_dual = dual_measure_ratio(g, i, k, side, m_dual)
             back = dual_measure_ratio(g, k, i, side, m_dual)
-            direct = measure_ratio(g, i, k, side)
+            direct = g.measure(i) / g.measure(k)
             assert abs(through_dual - direct) < 1e-10
             assert abs(through_dual * back - 1.0) < 1e-10
             checked += 1

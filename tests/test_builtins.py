@@ -13,26 +13,26 @@ from sftgeom.builtins import (
 from sftgeom.cocycle import (
     CocycleGapPair,
     MeasureLengthCocycle,
-    check_cocycle_gap_property,
+    cocycle_gap_rows,
     synthesize_ratio,
 )
 from sftgeom.errors import UnknownBuiltin
 from sftgeom.gibbs import GibbsMeasure, markov_potential
 from sftgeom.realize import (
     additivity_defect,
+    dimension_report,
     eigenvalue,
     eigenvalue_via_measure,
-    hausdorff_dimension,
     livsic_sinai_check,
     natural_measure_check,
 )
 from sftgeom.sft import cyl, gap, periodic_orbits, system_from_json, system_to_json
 from sftgeom.solenoid import (
-    check_boundary,
-    check_cylinder_cylinder,
-    check_cylinder_gap,
-    check_matching,
+    boundary_rows,
+    cylinder_cylinder_rows,
+    cylinder_gap_rows,
     from_realization,
+    matching_rows,
 )
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -103,7 +103,7 @@ def test_dimension_solver_recovers_declared_delta():
     for name in BUILTIN_NAMES:
         b = builtin(name)
         for bs in (b.u, b.s):
-            assert abs(hausdorff_dimension(bs.realization) - bs.delta) < 1e-9
+            assert abs(dimension_report(bs.realization).delta - bs.delta) < 1e-9
 
 
 def test_natural_measure_compatibility():
@@ -124,21 +124,21 @@ def test_livsic_matched_on_every_builtin():
         b = builtin(name)
         rows = livsic_sinai_check(b.u.realization, b.s.realization, 4)
         assert rows
-        assert max(r for _, r in rows) < 1e-12
+        assert max(res for *_, res in rows) < 1e-12
 
 
 def test_golden_matching_and_boundary_instances(golden):
     for bs in (golden.u, golden.s):
         spec = from_realization(bs.realization)
-        rows = check_matching(spec, golden.sys)
-        assert [lbl for lbl, _ in rows] == [
+        rows = matching_rows(spec, golden.sys)
+        assert [r.ident for r in rows] == [
             f"gold-match-{bs.side}-01",
             f"gold-match-{bs.side}-10",
         ]
-        assert max(r for _, r in rows) < 1e-12
-        rows = check_boundary(spec, golden.sys)
+        assert max(r.residual for r in rows) < 1e-12
+        rows = boundary_rows(spec, golden.sys)
         assert len(rows) == 2
-        assert max(r for _, r in rows) < 1e-12
+        assert max(r.residual for r in rows) < 1e-12
 
 
 def test_golden_eigenvalues(golden):
@@ -152,9 +152,9 @@ def test_golden_eigenvalues(golden):
 
 def test_affine_builtins_carry_no_instances(horseshoe):
     spec = from_realization(horseshoe.u.realization)
-    assert check_matching(spec, horseshoe.sys) == []
-    assert check_boundary(spec, horseshoe.sys) == []
-    rows = check_cocycle_gap_property(
+    assert matching_rows(spec, horseshoe.sys) == []
+    assert boundary_rows(spec, horseshoe.sys) == []
+    rows = cocycle_gap_rows(
         horseshoe.measure, horseshoe.u.pair, horseshoe.u.delta, 0.0, depth=4
     )
     assert rows == []
@@ -182,37 +182,37 @@ def test_toy_pair_regenerates_table(toy):
 
 def test_toy_cylinder_gap_instances(toy):
     spec = from_realization(toy.s.realization)
-    rows = check_cylinder_gap(spec, toy.sys)
+    rows = cylinder_gap_rows(spec, toy.sys)
     assert len(rows) == 4
-    assert max(r for _, r in rows) < 1e-14
+    assert max(r.residual for r in rows) < 1e-14
 
 
 def test_toy_cylinder_cylinder_exact_for_defining_measure(toy):
-    rows = check_cylinder_cylinder(toy.measure)
+    rows = cylinder_cylinder_rows(toy.measure)
     assert len(rows) == 4
-    assert max(r for _, r in rows) < 1e-14
+    assert max(r.residual for r in rows) < 1e-14
 
 
 def test_toy_cylinder_cylinder_detects_mismatched_measure(toy):
     gm = GibbsMeasure(toy.sys, markov_potential(toy.sys, [[0.7, 0.3], [0.4, 0.6]]))
-    rows = dict(check_cylinder_cylinder(gm))
+    rows = {r.ident: r.residual for r in cylinder_cylinder_rows(gm)}
     assert rows["toy-cc-1"] == pytest.approx(15.0 / 14.0, abs=1e-10)
     assert rows["toy-cc-2"] > 1.0
 
 
 def test_toy_cocycle_gap_round_trip(toy):
-    rows = check_cocycle_gap_property(
+    rows = cocycle_gap_rows(
         toy.measure, toy.s.pair, toy.s.delta, toy.s.pressure, depth=8
     )
     assert len(rows) == 254
-    assert max(r for _, r in rows) < 1e-10
+    assert max(r.residual for r in rows) < 1e-10
 
 
 def test_toy_cocycle_gap_detects_perturbation(toy):
     kappa = MeasureLengthCocycle("s", {(): 1.0, (0,): 1.0, (1,): 1.1})
     pair = CocycleGapPair(kappa, toy.s.pair.gap_ratios)
-    rows = check_cocycle_gap_property(toy.measure, pair, 0.5, 0.0, depth=6)
-    assert max(r for _, r in rows) > 1e-3
+    rows = cocycle_gap_rows(toy.measure, pair, 0.5, 0.0, depth=6)
+    assert max(r.residual for r in rows) > 1e-3
 
 
 def test_toy_eigenvalues(toy):

@@ -3,12 +3,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from sftgeom import cli, realize
 from sftgeom.builtins import BUILTIN_NAMES, builtin
-from sftgeom.cli import load_json, load_table, main, write_table
+from sftgeom.cli import load_table, main, write_table
 from sftgeom.cocycle import pair_to_json
 from sftgeom.gibbs import GibbsMeasure, markov_potential, potential_to_json
 from sftgeom.sft import periodic_orbits, system_to_json
@@ -17,6 +18,10 @@ from sftgeom.solenoid import from_realization, solenoid_to_json
 
 def run_cli(*args: str) -> int:
     return main(["run", *args])
+
+
+def load_json(path: Path) -> dict:
+    return json.loads(path.read_text())
 
 
 def test_dimension_cantor(tmp_path):
@@ -251,6 +256,19 @@ def test_livsic_computes_each_eigenvalue_once(tmp_path, monkeypatch, name):
     monkeypatch.setattr(cli, "eigenvalue", counted)
     assert run_cli(name, "livsic", "--p-max", "6", "--out", str(tmp_path)) == 0
     assert len(calls) == 2 * len(periodic_orbits(builtin(name).sys, 6))
+
+
+def test_livsic_task_reads_its_rows_from_the_library(tmp_path, monkeypatch):
+    calls = []
+    real = realize.livsic_sinai_check
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "livsic_sinai_check", counted)
+    assert run_cli("horseshoe", "livsic", "--p-max", "4", "--out", str(tmp_path)) == 0
+    assert len(calls) == 1
 
 
 def test_builtin_run_builds_one_gibbs_measure(tmp_path, monkeypatch):

@@ -9,7 +9,6 @@ from sftgeom.cocycle import (
     CocycleGapPair,
     GapRatios,
     MeasureLengthCocycle,
-    check_cocycle_gap_property,
     cocycle_gap_rows,
     constant_cocycle,
     constant_gap_ratios,
@@ -297,18 +296,18 @@ def test_synthesis_rejects_gapless_mother():
 
 def test_cocycle_gap_round_trip(toy):
     sys, g = toy
-    rows = check_cocycle_gap_property(g, constant_pair("s"), 0.5, 0.0, depth=6)
+    rows = cocycle_gap_rows(g, constant_pair("s"), 0.5, 0.0, depth=6)
     # One row per descriptor of depth 2..6 with the second rectangle's pivot.
     assert len(rows) == sum(2 ** (n - 1) for n in range(2, 7))
-    assert max(res for _, res in rows) < 1e-12
+    assert max(r.residual for r in rows) < 1e-12
 
 
 def test_cocycle_gap_detects_perturbation(toy):
     sys, g = toy
     skew = MeasureLengthCocycle("s", {(): 1.0, (0,): 1.0, (1,): 1.1})
     pair = CocycleGapPair(skew, constant_gap_ratios("s"))
-    rows = check_cocycle_gap_property(g, pair, 0.5, 0.0, depth=6)
-    assert max(res for _, res in rows) > 1e-3
+    rows = cocycle_gap_rows(g, pair, 0.5, 0.0, depth=6)
+    assert max(r.residual for r in rows) > 1e-3
 
 
 def test_cocycle_gap_no_records():
@@ -319,19 +318,19 @@ def test_cocycle_gap_no_records():
         layouts={"s": GapLayout("s", dict(THIRDS))},
     )
     g = GibbsMeasure(sys, uniform_potential(sys))
-    assert check_cocycle_gap_property(g, constant_pair("s"), 0.5, 0.0) == []
+    assert cocycle_gap_rows(g, constant_pair("s"), 0.5, 0.0) == []
 
 
 def test_cocycle_gap_side_filter(toy):
     sys, g = toy
     # The recorded orbit lives on the s side; a u pair has nothing to check.
-    assert check_cocycle_gap_property(g, constant_pair("u"), 0.5, 0.0) == []
+    assert cocycle_gap_rows(g, constant_pair("u"), 0.5, 0.0) == []
 
 
 def test_cocycle_gap_missing_data():
     g = GibbsMeasure(FULL2, uniform_potential(FULL2))
     with pytest.raises(MissingBoundaryData):
-        check_cocycle_gap_property(g, constant_pair("s"), 0.5, 0.0)
+        cocycle_gap_rows(g, constant_pair("s"), 0.5, 0.0)
 
 
 def test_pair_json_round_trip():

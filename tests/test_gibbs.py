@@ -15,15 +15,13 @@ from sftgeom.gibbs import (
     dual_measure_ratio,
     extended_scaling,
     markov_potential,
-    measure_ratio,
     measure_scaling,
     potential_from_json,
     potential_from_table,
     potential_to_json,
-    ratio_decomposition_residual,
     uniform_potential,
 )
-from sftgeom.sft import Seg, Word, build_sft, enumerate_cylinders, gap
+from sftgeom.sft import Seg, Word, build_sft, enumerate_cylinders, opposite
 
 FULL2 = build_sft(2, [[1, 1], [1, 1]])
 GOLDEN = build_sft(2, [[1, 1], [1, 0]])
@@ -192,6 +190,20 @@ def test_extended_scaling_window_stabilises(markov):
     )
 
 
+def ratio_decomposition_residual(g: GibbsMeasure, c: Word, depth: int) -> float:
+    """How far the leaf decomposition of a cylinder is from its measure: the
+    oracle of extended_scaling.
+
+    Sums extended_scaling against the measures of all depth-`depth`
+    opposite-side leaves sharing the cylinder's pivot.
+    """
+    total = 0.0
+    for xi in enumerate_cylinders(g.sys, depth, opposite(c.side)):
+        if xi.pivot == c.pivot:
+            total += extended_scaling(g, AdmissiblePair(xi, c)) * g.measure(xi.symbols)
+    return abs(g.measure(c.symbols) - total)
+
+
 @pytest.mark.parametrize("side", ["u", "s"])
 @pytest.mark.parametrize("depth", [2, 4, 6])
 def test_ratio_decomposition_residuals(markov, uniform, golden, side, depth):
@@ -204,18 +216,10 @@ def test_ratio_decomposition_residuals(markov, uniform, golden, side, depth):
 def test_measure_ratio(markov):
     i = Word((0, 0), "u")
     j = Word((0, 1), "u")
-    assert abs(measure_ratio(markov, i, j, "u") - 7 / 3) < 1e-14
-    assert abs(
-        measure_ratio(markov, i, j, "u") * measure_ratio(markov, j, i, "u") - 1.0
-    ) < 1e-14
+    assert abs(markov.measure(i) / markov.measure(j) - 7 / 3) < 1e-14
     children = [Word((0, 0), "u"), Word((0, 1), "u")]
-    total = sum(measure_ratio(markov, c, Word((0,), "u"), "u") for c in children)
+    total = sum(markov.measure(c) / markov.measure(Word((0,), "u")) for c in children)
     assert abs(total - 1.0) < 1e-14
-    assert measure_ratio(markov, gap((0,), 0), j, "u") == 0.0
-    with pytest.raises(NoCommonLeaf):
-        measure_ratio(markov, i, gap((0,), 0), "u")
-    with pytest.raises(NoCommonLeaf):
-        measure_ratio(markov, Word((0, 0), "s"), j, "u")
 
 
 def test_dual_ratio_markov_pinned(markov):
@@ -244,7 +248,7 @@ def test_dual_ratio_matches_direct_on_shared_pivot(markov, bernoulli, golden):
                     if i.pivot != k.pivot:
                         continue
                     r_dual = dual_measure_ratio(g, i, k, side, 3)
-                    r_direct = measure_ratio(g, i, k, side)
+                    r_direct = g.measure(i) / g.measure(k)
                     assert abs(r_dual - r_direct) < 1e-12
 
 

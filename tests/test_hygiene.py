@@ -1,12 +1,14 @@
 """Source hygiene of the package modules (`__init__.py` aside): every
-imported name is used, and every private module-level name is referenced
-somewhere in `src/`.  A helper left behind by a half-finished deletion
-fails one of the two."""
+imported name is used, every private module-level name is referenced
+somewhere in `src/`, and every public module-level function is read by
+other `src/` code or listed with a reason.  A helper left behind by a
+half-finished deletion fails one of them."""
 
 from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -72,6 +74,61 @@ def test_every_private_name_is_referenced(path):
         ):
             dead.append(name)
     assert dead == [], f"{path.name} defines private names nothing references: {dead}"
+
+
+# Public functions that no src/ code reads, each with the reason it stays.
+# An entry that gains a reader is stale and fails the listing test.
+DECISION = "a decision of the paper that no CLI task reads yet (a compare task will)"
+UNREAD_PUBLIC = {
+    "bounded_equivalence": DECISION,
+    "bounded_solenoid_class_check": DECISION,
+    "from_gibbs": DECISION,
+    "measure_solenoid": DECISION,
+    "holder_estimate": DECISION,
+    "dual_measure_ratio": DECISION,
+    "natural_measure_check": "to give way to a finite decision read off the window table",
+    "load_table": "reader of the reports write_table writes",
+    "pair_to_json": "serializer of the files pair_from_json reads",
+    "potential_to_json": "serializer of the files potential_from_json reads",
+    "solenoid_to_json": "serializer of the files solenoid_from_json reads",
+    "system_to_json": "serializer of the files system_from_json reads",
+    "markov_potential": "potential constructor of the benchmark's generated systems",
+    "potential_from_table": "potential constructor of the benchmark's generated systems",
+}
+
+
+def _reads(root: ast.AST) -> Counter:
+    """Names and attribute names read under root."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(root)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _public_function_readers() -> dict[str, int]:
+    """Per public module-level function, how often src/ modules read its
+    name outside its own definition."""
+    trees = [_tree(path) for path in MODULES]
+    total = sum(map(_reads, trees), Counter())
+    return {
+        node.name: total[node.name] - _reads(node)[node.name]
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+
+
+def test_every_public_function_is_read():
+    readers = _public_function_readers()
+    dead = sorted(name for name, n in readers.items() if not n and name not in UNREAD_PUBLIC)
+    assert dead == [], f"public functions nothing in src/ reads: {dead}"
+
+
+def test_listed_public_functions_are_unread():
+    readers = _public_function_readers()
+    stale = sorted(name for name in UNREAD_PUBLIC if readers.get(name, 1))
+    assert stale == [], f"listed as unread but read, or gone: {stale}"
 
 
 def _parameters(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:

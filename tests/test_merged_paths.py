@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sftgeom.realize as realize
@@ -54,8 +54,25 @@ def stochastic_potentials(draw):
     return sys, span, weights
 
 
+def _small_perron_entry():
+    """A draw whose left Perron vector has an entry 5.7% of its largest: an
+    error bound of 1e-12 of the largest entry left that entry's measures
+    1.05e-12 off relative."""
+    A = [[1, 1, 1, 1], [0, 1, 1, 0], [0, 1, 1, 1], [1, 1, 0, 1]]
+    sys = build_sft(4, A)
+    skewed = {(0, 0): (4, 1, 1, 1), (2, 2): (7, 1, 1), (3, 0): (1, 4, 3, 1)}
+    weights = {}
+    for w in enumerate_cylinders(sys, 2, U_SIDE):
+        nxt = sys.successors(w.symbols[-1])
+        counts = skewed.get(w.symbols, (1,) * len(nxt))
+        for c, n in zip(nxt, counts):
+            weights[w.symbols + (c,)] = Fraction(n, sum(counts))
+    return sys, 3, weights
+
+
 @settings(max_examples=25, deadline=None)
 @given(stochastic_potentials())
+@example(_small_perron_entry())
 def test_exact_and_float_routes_agree(case):
     sys, span, weights = case
     phi = {w: math.log(x) for w, x in weights.items()}

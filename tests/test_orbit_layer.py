@@ -225,3 +225,25 @@ def test_one_admissibility_check_per_measured_word(monkeypatch, potential, exact
     calls.clear()
     assert [g.measure(w) for w in words] == first and calls == []
     assert g.measure((1, 1)) == 0.0 and calls == [(1, 1)]
+
+
+def test_one_admissibility_check_per_orbit(monkeypatch):
+    """eigenvalue_via_measure checks rep + rep once; every window of rep^Z is
+    admissible with it, so only a measure's first lookup of a word checks
+    again: a turn per orbit and a first block per block."""
+    b = builtin("horseshoe")
+    g = GibbsMeasure(b.sys, b.potential)
+    orbits = periodic_orbits(b.sys, 10)
+    calls = []
+    real = SftSystem.is_admissible
+
+    def counted(self, symbols):
+        calls.append(tuple(symbols))
+        return real(self, symbols)
+
+    monkeypatch.setattr(SftSystem, "is_admissible", counted)
+    fresh = [realize.eigenvalue_via_measure(g, 0.5, 0.0, o, "u") for o in orbits]
+    assert len(orbits) == 226 and len(calls) == 2 * len(orbits) + 2
+    calls.clear()
+    warm = [realize.eigenvalue_via_measure(g, 0.5, 0.0, o, "s") for o in orbits]
+    assert warm == fresh and calls == [o.representative * 2 for o in orbits]

@@ -23,10 +23,10 @@ from sftgeom.gibbs import (
 from sftgeom.realize import (
     RatioTable,
     additivity_defect,
+    dimension_report,
     dual_pair,
     eigenvalue,
     eigenvalue_via_measure,
-    hausdorff_dimension,
     lengths_from_ratio,
     livsic_sinai_check,
     natural_measure_check,
@@ -189,19 +189,19 @@ def test_pressure_is_affine_in_delta(thirds_tt):
 
 
 def test_dimension_cantor(thirds_tt):
-    dim = hausdorff_dimension(thirds_tt)
+    dim = dimension_report(thirds_tt).delta
     assert abs(dim - DIM_THIRD) < 1e-9
     assert abs(pressure_of(thirds_tt, dim)) < 1e-10
 
 
 def test_dimension_horseshoe():
-    dim = hausdorff_dimension(affine_table("u"))
+    dim = dimension_report(affine_table("u")).delta
     assert abs(dim - DIM_HORSE) < 1e-9
     assert abs(pressure_of(affine_table("u"), dim)) < 1e-10
 
 
 def test_dimension_full_side_is_one():
-    assert hausdorff_dimension(golden_table("u")) == pytest.approx(1.0, abs=1e-9)
+    assert dimension_report(golden_table("u")).delta == pytest.approx(1.0, abs=1e-9)
 
 
 def test_dimension_no_root():
@@ -210,7 +210,7 @@ def test_dimension_no_root():
     )
     rt = RatioTable(sys1, "u", 1, {cyl((0,)): 0.5})
     with pytest.raises(NoRoot):
-        hausdorff_dimension(rt)
+        dimension_report(rt)
     # That table is not additive; the defect is the missing half.
     tt = lengths_from_ratio(rt, delta=1.0, pressure=0.0, depth=3)
     assert abs(additivity_defect(tt) - 0.5) < 1e-15
@@ -277,14 +277,14 @@ def test_livsic_matched_cantor():
     tt_u = lengths_from_ratio(thirds_table("u"), delta=DIM_THIRD, pressure=0.0, depth=6)
     tt_s = lengths_from_ratio(thirds_table("s"), delta=DIM_THIRD, pressure=0.0, depth=6)
     rows = livsic_sinai_check(tt_u, tt_s, 5)
-    assert rows and max(res for _, res in rows) < 1e-12
+    assert rows and max(res for *_, res in rows) < 1e-12
 
 
 def test_livsic_matched_toy(toy):
     sys, g, tt_s = toy
     tt_u = dual_pair(g, tt_s)
     rows = livsic_sinai_check(tt_u, tt_s, 5)
-    assert rows and max(res for _, res in rows) < 1e-12
+    assert rows and max(res for *_, res in rows) < 1e-12
 
 
 def test_livsic_negative_control():
@@ -293,9 +293,9 @@ def test_livsic_negative_control():
     tt_u = lengths_from_ratio(synth)
     tt_s = lengths_from_ratio(affine_table("s"), delta=DIM_HORSE, pressure=0.0, depth=6)
     rows = livsic_sinai_check(tt_u, tt_s, 4)
-    by_orbit = {o.representative: res for o, res in rows}
+    by_orbit = {o.representative: res for o, _, _, res in rows}
     assert by_orbit[(0,)] == pytest.approx(0.336, abs=0.01)
-    assert max(res for _, res in rows) > 1e-2
+    assert max(by_orbit.values()) > 1e-2
 
 
 def test_livsic_mismatched():

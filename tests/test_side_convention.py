@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sftgeom.builtins import BUILTIN_NAMES, builtin
-from sftgeom.cocycle import TransportRow, cocycle_gap_rows, constant_pair, synthesize_ratio
+from sftgeom.cocycle import cocycle_gap_rows, constant_pair, synthesize_ratio
 from sftgeom.errors import NoCommonLeaf
 from sftgeom.gibbs import (
     AdmissiblePair,
@@ -42,6 +42,7 @@ from sftgeom.sft import (
     opposite,
 )
 from sftgeom.solenoid import (
+    ConditionRow,
     _size_levels,
     _size_source,
     _Source,
@@ -186,7 +187,7 @@ def ref_cocycle_gap_rows(g, pair, delta, pressure, depth, data):
         for base in range(len(inst.orbit)):
             tag = f"{inst.ident}/x{base}"
             out.extend(
-                TransportRow(f"{tag}:{label}", stored, induced, abs(stored - induced))
+                ConditionRow(f"{tag}:{label}", stored, induced, abs(stored - induced))
                 for label, stored, induced in steps + gap_rows
             )
     return out

@@ -34,16 +34,16 @@ from sftgeom.sft import (
     gap,
 )
 from sftgeom.solenoid import (
+    boundary_rows,
     bounded_equivalence,
     bounded_solenoid_class_check,
-    check_boundary,
-    check_cylinder_cylinder,
-    check_cylinder_gap,
-    check_matching,
+    cylinder_cylinder_rows,
+    cylinder_gap_rows,
     extend_scaling,
     from_gibbs,
     from_realization,
     holder_estimate,
+    matching_rows,
     measure_solenoid,
     solenoid_from_json,
     solenoid_to_json,
@@ -265,9 +265,9 @@ def test_check_matching_measure_identity(markov_flat, uniform_flat, golden):
     data = BoundaryData(matching_instances=(full_chain,))
     for g in (markov_flat, uniform_flat):
         spec = from_gibbs(g, "u")
-        res = check_matching(spec, g.sys, data)
+        res = matching_rows(spec, g.sys, data)
         assert len(res) == 1
-        assert res[0][1] < 1e-13
+        assert res[0].residual < 1e-13
 
     golden_chain = MatchingInstance(
         "m-golden",
@@ -278,8 +278,8 @@ def test_check_matching_measure_identity(markov_flat, uniform_flat, golden):
         2,
     )
     spec = from_gibbs(golden, "u")
-    res = check_matching(spec, GOLDEN, BoundaryData(matching_instances=(golden_chain,)))
-    assert res[0][1] < 1e-12
+    res = matching_rows(spec, GOLDEN, BoundaryData(matching_instances=(golden_chain,)))
+    assert res[0].residual < 1e-12
 
     bad = MatchingInstance(
         "m-bad",
@@ -289,8 +289,8 @@ def test_check_matching_measure_identity(markov_flat, uniform_flat, golden):
         (cyl((0, 0)), cyl((0, 1)), cyl((1, 0))),
         1,
     )
-    res = check_matching(spec, GOLDEN, BoundaryData(matching_instances=(bad,)))
-    assert res[0][1] > 1e-3
+    res = matching_rows(spec, GOLDEN, BoundaryData(matching_instances=(bad,)))
+    assert res[0].residual > 1e-3
 
 
 def test_check_matching_skips_other_side(markov_flat):
@@ -298,8 +298,8 @@ def test_check_matching_skips_other_side(markov_flat):
         "m-s", "s", cyl((0,)), cyl((1,)), (cyl((0, 0)), cyl((1, 0))), 1
     )
     spec = from_gibbs(markov_flat, "u")
-    assert check_matching(spec, FULL2_FLAT, BoundaryData(matching_instances=(inst,))) == []
-    assert check_matching(spec, FULL2_FLAT, BoundaryData()) == []
+    assert matching_rows(spec, FULL2_FLAT, BoundaryData(matching_instances=(inst,))) == []
+    assert matching_rows(spec, FULL2_FLAT, BoundaryData()) == []
 
 
 def test_check_boundary_counts(uniform_flat, markov_flat):
@@ -312,8 +312,8 @@ def test_check_boundary_counts(uniform_flat, markov_flat):
     )
     data = BoundaryData(boundary_instances=(inst,))
     spec = from_gibbs(uniform_flat, "u")
-    res = check_boundary(spec, FULL2_FLAT, data)
-    assert abs(res[0][1] - 1.0) < 1e-14
+    res = boundary_rows(spec, FULL2_FLAT, data)
+    assert abs(res[0].residual - 1.0) < 1e-14
 
     same = BoundaryInstance(
         "b2",
@@ -322,8 +322,8 @@ def test_check_boundary_counts(uniform_flat, markov_flat):
         (cyl((1,)),),
         (cyl((1,)),),
     )
-    res = check_boundary(spec, FULL2_FLAT, BoundaryData(boundary_instances=(same,)))
-    assert res[0][1] == 0.0
+    res = boundary_rows(spec, FULL2_FLAT, BoundaryData(boundary_instances=(same,)))
+    assert res[0].residual == 0.0
 
 
 def test_check_cylinder_gap(thirds_spec):
@@ -342,9 +342,9 @@ def test_check_cylinder_gap(thirds_spec):
         (cyl((0, 0, 0)), gap((0, 0), 0), cyl((0, 0, 1)), gap((0,), 0)),
     )
     data = BoundaryData(cylindergap_instances=(shallow, deep))
-    res = check_cylinder_gap(thirds_spec, FULL2_THIRDS, data)
-    assert [r[0] for r in res] == ["cg1", "cg2"]
-    assert all(r[1] < 1e-13 for r in res)
+    res = cylinder_gap_rows(thirds_spec, FULL2_THIRDS, data)
+    assert [r.ident for r in res] == ["cg1", "cg2"]
+    assert all(r.residual < 1e-13 for r in res)
 
 
 def test_check_cylinder_cylinder_discriminates(markov):
@@ -362,10 +362,10 @@ def test_check_cylinder_cylinder_discriminates(markov):
     bern = GibbsMeasure(
         FULL2, bernoulli_potential(FULL2, [Fraction(2, 3), Fraction(1, 3)])
     )
-    res = check_cylinder_cylinder(bern, data)
-    assert res[0][1] < 1e-14
-    res = check_cylinder_cylinder(markov, data)
-    assert abs(res[0][1] - 15 / 14) < 1e-12
+    res = cylinder_cylinder_rows(bern, data)
+    assert res[0].residual < 1e-14
+    res = cylinder_cylinder_rows(markov, data)
+    assert abs(res[0].residual - 15 / 14) < 1e-12
 
 
 def test_bounded_equivalence_same_measure(markov_flat):

@@ -43,7 +43,7 @@ from sftgeom.sft import (
     deep_extend,
     drop_deep,
     enumerate_cylinders,
-    save_system,
+    system_to_json,
 )
 from sftgeom.solenoid import (
     bounded_equivalence,
@@ -169,7 +169,7 @@ SYNTH_SIDES = [
 def test_synthesize_report_matches_the_library(source, side, depth, tmp_path):
     if source == "full-11":
         sys = _gapped_full_shift(11)
-        save_system(sys, str(tmp_path / "sys.json"))
+        (tmp_path / "sys.json").write_text(system_to_json(sys), encoding="utf-8")
         argv = ["run", "--system", str(tmp_path / "sys.json"), "synthesize", "--delta", "0.5"]
         g = GibbsMeasure(sys, uniform_potential(sys))
         pair, delta, pressure = constant_pair(side), 0.5, 0.0
