@@ -41,6 +41,7 @@ from .sft import (
     S_SIDE,
     SftSystem,
     U_SIDE,
+    Word,
     deep_extend,
     enumerate_cylinders,
     opposite,
@@ -338,10 +339,10 @@ def _task_gibbs(ctx: _Ctx) -> TaskOutcome:
     back = opposite(side)
     for n in range(max(g.span - 1, 1), nmax):
         for w in enumerate_cylinders(system, n, side):
-            # one-step extensions at the pivot end: the opposite side's deep end
+            # one-step extensions at the pivot end, the opposite side's deep
+            # end: admissible by construction
             ends = system.deep_extensions(w.symbols, back)
-            exts = [deep_extend(w.symbols, a, back) for a in ends]
-            s = sum(measure_scaling(g, system.word(e, side)) for e in exts)
+            s = sum(measure_scaling(g, Word(deep_extend(w.symbols, a, back), side)) for a in ends)
             worst = max(worst, abs(s - 1.0))
     return _emit(ctx, "gibbs", ("word", "depth", "measure"), rows, worst)
 

@@ -199,6 +199,17 @@ def perron(T: np.ndarray) -> tuple[float, np.ndarray]:
     (or no round settles), and the last settled vector whose bound is at
     most PERRON_REL_TOL times its largest entry is returned;
     NonConvergentEigensolve is raised when there is none.
+
+    The returned lambda is sum(T x) for the last iterate x, which sums to
+    one: the mean, weighted by x, of x's Collatz-Wielandt quotients
+    (T x)_i / x_i, which bracket rho(T).  So |lambda - rho| is at most
+    lambda * max_i |r_i| / x_i for the residual r = T x / lambda - x:
+    PERRON_REL_TOL / (1 - PERRON_REL_TOL) relative for a vector accurate
+    relative to its smallest entry, PERRON_REL_TOL times the ratio of its
+    largest entry to its smallest for one accepted against its largest,
+    besides the (n + 1) * EPS rounding of the sum.  A quotient (T x)_i / x_i
+    computed in floats, a sum of n nonnegative products and one division,
+    is within (n + 2) * EPS of its exact value, relative.
     """
     n = T.shape[0]
     x = np.full(n, 1.0 / n)

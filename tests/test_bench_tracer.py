@@ -50,7 +50,10 @@ def test_tracer_installs_counts_and_restores():
         assert sftgeom.realize.pressure_of is not pressure_of
         sftgeom.realize.dimension_report(builtin("horseshoe").u.realization)
         metrics = tracer.metrics()
-        assert metrics["realize.pressure_of.calls"] == 47.0
+        # 16 of the 44 bisection steps take a full solve, the other 28 are
+        # certified by a Collatz-Wielandt bound; plus both bracket ends and
+        # the residual
+        assert metrics["realize.pressure_of.calls"] == 19.0
         assert metrics["realize.pressure_of.states"] > 0
     finally:
         tracer.uninstall()

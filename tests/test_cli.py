@@ -12,7 +12,7 @@ from sftgeom.builtins import BUILTIN_NAMES, builtin
 from sftgeom.cli import load_table, main, write_table
 from sftgeom.cocycle import pair_to_json
 from sftgeom.gibbs import GibbsMeasure, markov_potential, potential_to_json
-from sftgeom.sft import periodic_orbits, system_to_json
+from sftgeom.sft import SftSystem, periodic_orbits, system_to_json
 from sftgeom.solenoid import from_realization, solenoid_to_json
 
 
@@ -282,6 +282,21 @@ def test_builtin_run_builds_one_gibbs_measure(tmp_path, monkeypatch):
     monkeypatch.setattr(GibbsMeasure, "__init__", counted)
     assert run_cli("horseshoe", "gibbs", "--out", str(tmp_path)) == 0
     assert len(built) == 1
+
+
+def test_gibbs_task_checks_admissibility_once_per_row(tmp_path, monkeypatch):
+    # each row's measure checks its word; the one-step extensions of the
+    # scaling check come from deep_extensions, admissible as built
+    calls = []
+    real = SftSystem.is_admissible
+
+    def counted(self, w):
+        calls.append(w)
+        return real(self, w)
+
+    monkeypatch.setattr(SftSystem, "is_admissible", counted)
+    assert run_cli("horseshoe", "gibbs", "--depth", "16", "--out", str(tmp_path)) == 0
+    assert len(calls) == len(load_table(tmp_path / "gibbs.csv").rows) == 2046
 
 
 def test_two_tasks_run_on_a_system_file(tmp_path):

@@ -7,7 +7,6 @@ half-finished deletion fails one of them."""
 from __future__ import annotations
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -33,9 +32,9 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return out
 
 
-def _private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Module-level private names (not dunders) with their defining line."""
-    out: dict[str, int] = {}
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level private names (not dunders) with their defining statement."""
+    out: dict[str, ast.stmt] = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -47,8 +46,17 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
             continue
         for name in names:
             if name.startswith("_") and not name.endswith("__"):
-                out[name] = node.lineno
+                out[name] = node
     return out
+
+
+def _reads(root: ast.AST) -> Counter:
+    """Names and attribute names read under root."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(root)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -61,18 +69,15 @@ def test_every_imported_name_is_used(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_private_name_is_referenced(path):
-    lines = [
-        (src, i, line)
-        for src in sorted(SRC.rglob("*.py"))
-        for i, line in enumerate(src.read_text(encoding="utf-8").splitlines(), start=1)
+    """A reference is a read in the syntax tree of a src/ module, outside
+    the name's own definition: a name only comments or docstrings mention
+    is dead."""
+    total = sum((_reads(_tree(src)) for src in sorted(SRC.rglob("*.py"))), Counter())
+    dead = [
+        name
+        for name, node in _private_definitions(_tree(path)).items()
+        if total[name] == _reads(node)[name]
     ]
-    dead = []
-    for name, lineno in _private_definitions(_tree(path)).items():
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        if not any(
-            word.search(line) and (src, i) != (path, lineno) for src, i, line in lines
-        ):
-            dead.append(name)
     assert dead == [], f"{path.name} defines private names nothing references: {dead}"
 
 
@@ -95,15 +100,6 @@ UNREAD_PUBLIC = {
     "markov_potential": "potential constructor of the benchmark's generated systems",
     "potential_from_table": "potential constructor of the benchmark's generated systems",
 }
-
-
-def _reads(root: ast.AST) -> Counter:
-    """Names and attribute names read under root."""
-    return Counter(
-        n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(root)
-        if isinstance(n, (ast.Name, ast.Attribute))
-    )
 
 
 def _public_function_readers() -> dict[str, int]:

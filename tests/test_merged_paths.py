@@ -102,21 +102,36 @@ def test_window_transitions(sys, length, side):
         assert windows[j] == deep_window_of(word, length, side)
 
 
+# Bisection steps whose sign the Collatz-Wielandt test certified; the other
+# steps each take one full solve through pressure_of.
+CERTIFIED_STEPS = {("horseshoe", "u"): 28, ("da-attractor-toy", "s"): 28}
+
+
 @pytest.mark.parametrize(
     "name, side, calls",
     [("horseshoe", "u", 47), ("da-attractor-toy", "s", 47), ("golden-anosov", "u", 1)],
 )
 def test_dimension_report_evaluates_through_pressure_of(monkeypatch, name, side, calls):
-    # 44 bisection steps plus the two bracket ends and the residual; a side
-    # that fills its interval needs only the value at delta = 1, read once.
-    seen = []
-    real = realize.pressure_of
+    # Full solves and certified steps make the 44 bisection steps; with the
+    # two bracket ends and the residual they are the 47 solves of a plain
+    # bisection.  A side that fills its interval needs only the value at
+    # delta = 1, read once.
+    seen, certified = [], []
+    real, sign = realize.pressure_of, realize._certified_sign
 
     def counted(x, delta):
         seen.append(delta)
         return real(x, delta)
 
+    def counted_sign(T, v):
+        above = sign(T, v)
+        if above is not None:
+            certified.append(above)
+        return above
+
     monkeypatch.setattr(realize, "pressure_of", counted)
+    monkeypatch.setattr(realize, "_certified_sign", counted_sign)
     rep = realize.dimension_report(builtin(name).side(side).realization)
-    assert len(seen) == calls
+    assert len(certified) == CERTIFIED_STEPS.get((name, side), 0)
+    assert len(seen) + len(certified) == calls
     assert rep.iterations == max(calls - 3, 0)
