@@ -1,11 +1,14 @@
 """Equilibrium states of locally constant potentials, via transfer matrices.
 
 A potential of span m assigns a log-weight to every admissible m-word.
-The induced transfer matrix acts on (max(m,2)-1)-blocks; its
-Perron-Frobenius data gives the pressure and the cylinder measures.
-When the weights are exact rationals and the leading eigenvalue is
-rational too, all cylinder measures are computed as Fractions and the
-float API just projects them.
+The induced transfer matrix T acts on (max(m,2)-1)-blocks; its
+Perron-Frobenius data (lambda, u, v) gives the pressure, and the measure
+as a Markov chain on the blocks: pi_b = v_b u_b per block and one factor
+f = T[i][j] u[j] / (u[i] lambda) per move i -> j.  A cylinder's measure
+is the pi of its first block times one factor per further symbol.  When
+the weights are exact rationals and the leading eigenvalue is rational
+too, the chain is kept in Fractions and the float API just projects it;
+otherwise it is kept in floats.
 """
 
 from __future__ import annotations
@@ -327,45 +330,57 @@ def _kernel_vector(M: list[dict[int, int]]) -> Optional[list[int]]:
     return [a // g for a in x]
 
 
+def _window_chain(lam, u, v, weight, blocks, moves):
+    """The measure as a Markov chain on its blocks (Parry): the measure of
+    every word up to one block long, and the factor f = T[i][j] u[j] /
+    (u[i] lam) of every move i -> j, keyed by the move's word.
+
+    lam, u and v (v . u = 1) are all floats or all Fractions; `weight`
+    gives T[i][j] from the move's word.  A word up to one block long
+    measures the sum of pi_b = v_b u_b over the blocks it begins; the empty
+    word measures exactly 1.
+    """
+    seeds = {(): type(lam)(1)}
+    for b, x, y in zip(blocks, u, v):
+        for t in range(1, len(b) + 1):
+            seeds[b[:t]] = seeds.get(b[:t], 0) + y * x
+    return seeds, {word: weight(word) * u[j] / (u[i] * lam) for i, j, word in moves}
+
+
 class GibbsMeasure:
     """Cylinder measures, pressure, and scaling data for one potential."""
 
     def __init__(self, sys: SftSystem, potential: Potential) -> None:
         self.sys = sys
         self.potential = potential
-        self.span = potential.span
-        self.block_len = max(potential.span, 2) - 1
-        for w in enumerate_cylinders(sys, potential.span, U_SIDE):
+        self.span = span = potential.span
+        self.block_len = max(span, 2) - 1
+        for w in enumerate_cylinders(sys, span, U_SIDE):
             if w.symbols not in potential.phi:
                 raise ValueError(f"potential is missing the admissible word {w.symbols}")
 
         blocks, moves = window_transitions(sys, self.block_len, U_SIDE)
-        self._bindex = {b: i for i, b in enumerate(blocks)}
         T = np.zeros((len(blocks), len(blocks)))
         for i, j, word in moves:
-            T[i, j] = potential.weight_float(word[-potential.span :])
+            T[i, j] = potential.weight_float(word[-span:])
 
         lam_r, u = perron(T)
         lam_l, v = perron(T.T)
         self.lam = 0.5 * (lam_r + lam_l)
-        v = v / float(v @ u)
-        self._float_data = (self.lam, T.tolist(), u.tolist(), v.tolist())
-
-        self._exact_data = None
-        if potential.exact_weights is not None:
-            self._exact_data = self._try_exact(len(blocks), moves)
-        self._cache_float: dict[Symbols, float] = {(): 1.0}
-        # Exact measures of the words up to one block long: sums of v[i] u[i].
-        self._cache_exact: dict[Symbols, Fraction] = {}
-        if self._exact_data is not None:
-            _, u, v, _ = self._exact_data
-            for b, i in self._bindex.items():
-                for t in range(len(b) + 1):
-                    self._cache_exact[b[:t]] = self._cache_exact.get(b[:t], 0) + v[i] * u[i]
-
-    # -- exact route ---------------------------------------------------
+        W = potential.exact_weights
+        data = None if W is None else self._try_exact(len(blocks), moves)
+        self.exact = data is not None
+        if data is None:
+            data = self.lam, u.tolist(), (v / float(v @ u)).tolist()
+        weight = W.__getitem__ if self.exact else potential.weight_float
+        # The measure of every word measured so far, and f of every move.
+        self._cache, self._factor = _window_chain(
+            *data, lambda word: weight(word[-span:]), blocks, moves
+        )
 
     def _try_exact(self, nb: int, moves: list[tuple[int, int, Symbols]]):
+        """(lam, u, v) as Fractions, u summing to one and v . u = 1, or None
+        where the leading eigenvalue or a Perron vector is not rational."""
         W = self.potential.exact_weights
         assert W is not None
         # With D the lcm of the weights' denominators, D * lam is an algebraic
@@ -396,14 +411,8 @@ class GibbsMeasure:
         # T u = lam u and v T = lam v, checked entry by entry in O(nnz).
         if any(sum(a * y[j] for j, a in r.items()) for A, y in ((rows, u), (cols, v)) for r in A):
             return None
-        # m(w a) = m(w) * T[i][j] u[j] / (u[i] lam) along the move i -> j.
-        factor = {word: W[word[-self.span :]] * u[j] / (u[i] * lam) for i, j, word in moves}
         su, dot = sum(u), sum(a * b for a, b in zip(v, u))
-        return lam, [Fraction(x, su) for x in u], [Fraction(x * su, dot) for x in v], factor
-
-    @property
-    def exact(self) -> bool:
-        return self._exact_data is not None
+        return lam, [Fraction(x, su) for x in u], [Fraction(x * su, dot) for x in v]
 
     @property
     def pressure(self) -> float:
@@ -418,67 +427,37 @@ class GibbsMeasure:
             raise TypeError("measure expects a word, not a segment descriptor")
         return tuple(w)
 
-    def _cylinder(self, syms: Symbols) -> float:
-        """The float measure of an admissible word: v[i] * prod T[i][j] * u[i]
-        * lam ** -(n - L) along its blocks, or for a word shorter than a block
-        the sum over its block-length extensions."""
-        out = self._cache_float.get(syms)
-        if out is not None:
-            return out
-        lam, T, u, v = self._float_data
-        L = self.block_len
-        if len(syms) < L:
-            words = [syms]
-            while len(words[0]) < L:
-                words = [w + (c,) for w in words for c in self.sys.successors(w[-1])]
-            out = sum(self._cylinder(w) for w in words)
-        else:
-            i = self._bindex[syms[:L]]
-            out = v[i]
-            for pos in range(len(syms) - L):
-                j = self._bindex[syms[pos + 1 : pos + 1 + L]]
-                out *= T[i][j]
-                i = j
-            out = out * u[i] * lam ** -(len(syms) - L)
-        self._cache_float[syms] = out
-        return out
-
-    def measure_exact(self, w: Union[Word, Sequence[int]]) -> Fraction:
-        """The cylinder measure as an exact rational (exact mode only).
-
-        A word longer than a block extends its longest measured prefix by
-        one stored factor per symbol.
-        """
-        if self._exact_data is None:
-            raise ValueError("this measure has no exact rational form")
-        syms = self._symbols_of(w)
-        return self._exact_walk(syms) if self.sys.is_admissible(syms) else Fraction(0)
-
-    def _exact_walk(self, syms: Symbols) -> Fraction:
-        """measure_exact of a word already found admissible."""
-        cache = self._cache_exact
+    def _walk(self, syms: Symbols) -> Union[float, Fraction]:
+        """The measure of a word in the numbers of the route taken: its
+        longest measured prefix of at least one block times one factor per
+        further symbol, m(w a) = m(w) f.  A word up to one block long that
+        is not measured already, or a move missing from the factor table,
+        gives 0."""
+        cache = self._cache
         out = cache.get(syms)
         if out is None:
-            factor, L = self._exact_data[3], self.block_len
-            n = len(syms) - 1
-            while syms[:n] not in cache:
+            L, n = self.block_len, len(syms) - 1
+            while n >= L and syms[:n] not in cache:
                 n -= 1
+            if n < L:  # a prefix shorter than one block gives 0
+                return 0 * cache[()]
             out = cache[syms[:n]]
             for end in range(n + 1, len(syms) + 1):
-                out *= factor[syms[end - L - 1 : end]]
+                out *= self._factor.get(syms[end - L - 1 : end], 0)
             cache[syms] = out
         return out
 
+    def measure_exact(self, w: Union[Word, Sequence[int]]) -> Fraction:
+        """The cylinder measure as an exact rational (exact route only); 0
+        when inadmissible.  The chain's walk in Fractions: see `_walk`."""
+        if not self.exact:
+            raise ValueError("this measure has no exact rational form")
+        return self._walk(self._symbols_of(w))
+
     def measure(self, w: Union[Word, Sequence[int]]) -> float:
-        """Measure of the cylinder named by a word; 0 when inadmissible."""
-        syms = self._symbols_of(w)
-        out = self._cache_float.get(syms)
-        if out is None:
-            if not self.sys.is_admissible(syms):
-                return 0.0
-            out = self._cylinder(syms) if self._exact_data is None else float(self._exact_walk(syms))
-            self._cache_float[syms] = out
-        return out
+        """Measure of the cylinder named by a word; 0 when inadmissible.  On
+        the exact route, the float of the exact measure."""
+        return float(self._walk(self._symbols_of(w)))
 
     # -- window conditionals ---------------------------------------------
 

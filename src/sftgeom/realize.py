@@ -456,9 +456,10 @@ def eigenvalue_via_measure(
     """Eigenvalue of a periodic point from the measure (Livsic-Sinai).
 
     A turn of the orbit one block longer than the period has measure
-    v_b * prod T * u_b / lam ** p and its first block b has v_b * u_b, so
-    their quotient is the orbit weight exp(S_p phi) / lam ** p on either
-    side; raised to -periods/delta, with the pressure correction.
+    pi_b times the p factors f = T[i][j] u[j] / (u[i] lam) of its moves,
+    and its first block b has pi_b; u cancels around the cycle, so their
+    quotient is the orbit weight exp(S_p phi) / lam ** p on either side;
+    raised to -periods/delta, with the pressure correction.
     """
     rep, p = orbit.representative, orbit.period
     if not g.sys.is_admissible(rep + rep):

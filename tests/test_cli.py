@@ -284,9 +284,10 @@ def test_builtin_run_builds_one_gibbs_measure(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
-def test_gibbs_task_checks_admissibility_once_per_row(tmp_path, monkeypatch):
-    # each row's measure checks its word; the one-step extensions of the
-    # scaling check come from deep_extensions, admissible as built
+def test_gibbs_task_checks_no_admissibility(tmp_path, monkeypatch):
+    # the rows are enumerated cylinders and the one-step extensions of the
+    # scaling check come from deep_extensions, admissible as built; the
+    # measure reads admissibility off its chain
     calls = []
     real = SftSystem.is_admissible
 
@@ -296,7 +297,7 @@ def test_gibbs_task_checks_admissibility_once_per_row(tmp_path, monkeypatch):
 
     monkeypatch.setattr(SftSystem, "is_admissible", counted)
     assert run_cli("horseshoe", "gibbs", "--depth", "16", "--out", str(tmp_path)) == 0
-    assert len(calls) == len(load_table(tmp_path / "gibbs.csv").rows) == 2046
+    assert len(load_table(tmp_path / "gibbs.csv").rows) == 2046 and calls == []
 
 
 def test_two_tasks_run_on_a_system_file(tmp_path):

@@ -1,8 +1,9 @@
-"""The exact rational route against dense Fraction references: the integer
+"""The measure's window chain against dense references: the integer
 kernel of gibbs._kernel_vector against Fraction Gauss-Jordan, the exact
 Perron data (lambda, u, v) against the dense elimination it replaced, and
-measure_exact's one stored factor per symbol against the block product of
-every word from scratch."""
+the chain's one stored factor per symbol against the block product of
+every word from scratch, in Fractions on the exact route and in floats on
+the float route."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,9 @@ EXACT_BUILTINS = [name for name in BUILTIN_NAMES if builtin(name).measure.exact]
 # The exact builtins have span 1; "span-3" (span3_measure) has blocks of two.
 EXACT_CASES = [*EXACT_BUILTINS, "span-3"]
 MAX_WORD = 8
+# Every word is checked against its block product from scratch; a drawn
+# full 4-shift has 4 ** 8 words of 8 symbols.
+MAX_FLOAT_WORD = 6
 
 
 # ----------------------------------------------------------------------
@@ -61,14 +66,14 @@ def fraction_kernel_vector(M):
     return x
 
 
-def dense_transfer(g):
-    """The exact transfer matrix of a measure as a dense Fraction matrix,
-    and the index of its blocks."""
-    W = g.potential.exact_weights
+def dense_transfer(g, exact=True):
+    """The transfer matrix of a measure as a dense matrix of Fractions (of
+    floats when not `exact`), and the index of its blocks."""
+    weight = g.potential.exact_weights.__getitem__ if exact else g.potential.weight_float
     blocks, moves = window_transitions(g.sys, g.block_len, U_SIDE)
-    T = [[Fraction(0)] * len(blocks) for _ in blocks]
+    T = [[Fraction(0) if exact else 0.0] * len(blocks) for _ in blocks]
     for i, j, word in moves:
-        T[i][j] = W[word[-g.span :]]
+        T[i][j] = weight(word[-g.span :])
     return T, {b: i for i, b in enumerate(blocks)}
 
 
@@ -106,11 +111,26 @@ def dense_exact_data(g):
     return (lam, u, v) if ok_u and ok_v else None
 
 
-def block_product(g, syms, dense):
+def exact_reference(g):
+    """The dense transfer matrix, its block index and (lambda, u, v), all in
+    Fractions."""
+    return (*dense_transfer(g), *dense_exact_data(g))
+
+
+def float_reference(g):
+    """The same in floats, (lambda, u, v) from `perron` of the dense matrix
+    and its transpose, with v . u = 1."""
+    T, index = dense_transfer(g, exact=False)
+    lam_r, u = gibbs.perron(np.array(T))
+    lam_l, v = gibbs.perron(np.array(T).T)
+    return T, index, 0.5 * (lam_r + lam_l), u.tolist(), (v / float(v @ u)).tolist()
+
+
+def block_product(g, syms, ref):
     """v[i] * prod T[i][j] * u[i] * lam ** -(n - L) along the blocks of a
-    word of at least one block, from scratch."""
-    lam, u, v, _ = g._exact_data
-    T, index = dense
+    word of at least one block, from scratch: in floats, the float route's
+    measure before both routes kept the chain."""
+    T, index, lam, u, v = ref
     L = g.block_len
     i = index[syms[:L]]
     out = v[i]
@@ -121,12 +141,12 @@ def block_product(g, syms, dense):
     return out * u[i] * lam ** -(len(syms) - L)
 
 
-def reference_measure(g, syms, dense):
+def reference_measure(g, syms, ref):
     """The block product, or for a word shorter than a block the sum over
     its block-length extensions."""
     if len(syms) >= g.block_len:
-        return block_product(g, syms, dense)
-    return sum(reference_measure(g, syms + (c,), dense) for c in g.sys.successors(syms[-1]))
+        return block_product(g, syms, ref)
+    return sum(reference_measure(g, syms + (c,), ref) for c in g.sys.successors(syms[-1]))
 
 
 def normalised(x):
@@ -199,8 +219,8 @@ def assert_same_perron_data(g):
     want = dense_exact_data(g)
     assert g.exact == (want is not None)
     if want is not None:
-        lam, u, v, _ = g._exact_data
-        assert (lam, u, v) == want
+        blocks, moves = window_transitions(g.sys, g.block_len, U_SIDE)
+        assert g._try_exact(len(blocks), moves) == want
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -218,25 +238,49 @@ def test_exact_perron_data_matches_dense_elimination_on_generated_systems(g):
 # exact measures
 
 
+def all_words(g, max_word):
+    return [
+        w.symbols for n in range(1, max_word + 1) for w in enumerate_cylinders(g.sys, n, U_SIDE)
+    ]
+
+
 def assert_measures_match_block_products(g, seed):
     """Every admissible word up to MAX_WORD symbols, children before their
     mothers as often as not."""
-    dense = dense_transfer(g)
-    words = [
-        w.symbols for n in range(1, MAX_WORD + 1) for w in enumerate_cylinders(g.sys, n, U_SIDE)
-    ]
+    ref = exact_reference(g)
+    words = all_words(g, MAX_WORD)
     random.Random(seed).shuffle(words)
     for syms in words:
-        want = reference_measure(g, syms, dense)
+        want = reference_measure(g, syms, ref)
         assert g.measure_exact(syms) == want, syms
         assert g.measure(syms) == float(want), syms
+
+
+def assert_float_measures_match_block_products(g, max_word):
+    """Every admissible word up to `max_word` symbols, within 1e-14 of the
+    float block product, relative."""
+    assert not g.exact
+    ref = float_reference(g)
+    for syms in all_words(g, max_word):
+        want = reference_measure(g, syms, ref)
+        assert abs(g.measure(syms) - want) <= 1e-14 * want, syms
 
 
 @settings(max_examples=15, deadline=None)
 @given(exact_gapped_measures(), st.integers(0, 2**32))
 def test_exact_measures_match_block_products_on_generated_systems(g, seed):
+    """The exact block product where the drawn measure takes the exact
+    route, and there the float one of the potential without its exact
+    weights; the float one where the drawn measure takes the float route."""
     if g.exact:
         assert_measures_match_block_products(g, seed)
+        g = GibbsMeasure(g.sys, Potential(g.span, g.potential.phi))
+    assert_float_measures_match_block_products(g, MAX_FLOAT_WORD)
+
+
+def test_float_measures_match_block_products_on_golden_anosov():
+    b = builtin("golden-anosov")
+    assert_float_measures_match_block_products(GibbsMeasure(b.sys, b.measure.potential), 16)
 
 
 def span3_measure():
@@ -251,7 +295,7 @@ def span3_measure():
         for c in (0, 1)
     }
     g = GibbsMeasure(sys, Potential(3, {w: math.log(x) for w, x in weights.items()}, weights))
-    assert g.exact and g.block_len == 2 and len(set(g._exact_data[1])) > 1
+    assert g.exact and g.block_len == 2 and len(set(dense_exact_data(g)[1])) > 1
     return g
 
 
@@ -277,32 +321,29 @@ def test_long_periodic_word(name):
         if g.sys.is_admissible(w.symbols + w.symbols[:1])
     )
     syms = (loop * 2000)[:5000]
-    assert g.measure_exact(syms) == block_product(g, syms, dense_transfer(g))
+    assert g.measure_exact(syms) == block_product(g, syms, exact_reference(g))
 
 
 class CountingDict(dict):
-    """A dict that counts its item reads."""
+    """A dict that counts its lookups by `get`."""
 
     reads = 0
 
-    def __getitem__(self, key):
+    def get(self, key, default=None):
         self.reads += 1
-        return super().__getitem__(key)
+        return super().get(key, default)
 
 
 @pytest.mark.parametrize("name", EXACT_CASES)
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_a_child_costs_one_stored_factor(name, n):
     """With every word of length n measured, each word of length n + 1
-    reads one stored factor and no block index."""
+    reads one stored factor."""
     g = fresh_exact_measure(name)
     for w in enumerate_cylinders(g.sys, n, U_SIDE):
         g.measure_exact(w.symbols)
-    lam, u, v, factor = g._exact_data
-    g._exact_data = (lam, u, v, CountingDict(factor))
-    g._bindex = CountingDict(g._bindex)
+    g._factor = CountingDict(g._factor)
     children = enumerate_cylinders(g.sys, n + 1, U_SIDE)
     for w in children:
         g.measure_exact(w.symbols)
-    assert g._exact_data[3].reads == len(children)
-    assert g._bindex.reads == 0
+    assert g._factor.reads == len(children)

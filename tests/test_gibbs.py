@@ -11,6 +11,7 @@ from sftgeom.errors import InadmissiblePair, NoCommonLeaf, WordTooShort
 from sftgeom.gibbs import (
     AdmissiblePair,
     GibbsMeasure,
+    Potential,
     bernoulli_potential,
     dual_measure_ratio,
     extended_scaling,
@@ -270,9 +271,52 @@ def test_potential_validation():
         potential_from_table(GOLDEN, {(0, 0): 0.0, (0, 1): 0.0})
 
 
-def test_inadmissible_words_have_zero_measure(golden):
-    assert golden.measure((1, 1)) == 0.0
-    assert golden.measure((0, 1, 1, 0)) == 0.0
+def golden_span3_potential(exact):
+    """Stochastic span-3 weights on GOLDEN, whose blocks are (0, 0), (0, 1)
+    and (1, 0): lambda = 1, so the exact route is taken when `exact`."""
+    weights = {
+        (0, 0, 0): Fraction(1, 2),
+        (0, 0, 1): Fraction(1, 2),
+        (0, 1, 0): Fraction(1),
+        (1, 0, 0): Fraction(1, 3),
+        (1, 0, 1): Fraction(2, 3),
+    }
+    phi = {w: math.log(x) for w, x in weights.items()}
+    return Potential(3, phi, weights if exact else None)
+
+
+def test_inadmissible_words_have_zero_measure():
+    """On both routes, with blocks of one symbol and of two: a symbol
+    outside the alphabet, an inadmissible first block and an inadmissible
+    move after a measured prefix give 0, each on a fresh measure; the
+    empty word gives 1."""
+    potentials = [
+        markov_potential(GOLDEN, [[Fraction(2, 3), Fraction(1, 3)], [1, 0]]),
+        markov_potential(GOLDEN, [[0.6, 0.5], [1.0, 0.0]]),
+        golden_span3_potential(exact=True),
+        golden_span3_potential(exact=False),
+    ]
+    routes = [(g.exact, g.block_len) for g in (GibbsMeasure(GOLDEN, p) for p in potentials)]
+    assert routes == [(True, 1), (False, 1), (True, 2), (False, 2)]
+    prefix = (0, 1, 0, 0)
+    cases = [
+        # symbols outside the alphabet
+        (2,), (-1,), (0, 2), (2, 0), (-1, 0, 1), (0, 0, 2), prefix + (7,),
+        (1, 1), (1, 1, 0), (1, 1, 0, 0, 1),  # the first block (1, 1) is inadmissible
+        prefix + (1, 1), prefix + (1, 1, 0),  # the move (.., 1, 1) after a measured prefix
+    ]
+    for p in potentials:
+        for w in cases:
+            g = GibbsMeasure(GOLDEN, p)
+            assert g.measure(prefix) > 0
+            if g.exact:
+                got = g.measure_exact(w)
+                assert type(got) is Fraction and got == 0, w
+            assert g.measure(w) == 0.0, w
+        assert g.measure(()) == 1.0
+        if g.exact:
+            assert g.measure_exact(()) == Fraction(1)
+            assert g.measure_exact((0,)) + g.measure_exact((1,)) == 1
 
 
 def test_potential_json_round_trip():

@@ -221,16 +221,18 @@ def test_one_admissibility_check_per_measured_word(monkeypatch, potential, exact
     monkeypatch.setattr(SftSystem, "is_admissible", counted)
     words = [w.symbols for n in range(1, 9) for w in enumerate_cylinders(GOLDEN, n, U_SIDE)]
     first = [g.measure(w) for w in words]
-    assert calls == words  # every word is a first lookup
-    calls.clear()
-    assert [g.measure(w) for w in words] == first and calls == []
-    assert g.measure((1, 1)) == 0.0 and calls == [(1, 1)]
+    assert [g.measure(w) for w in words] == first
+    assert g.measure((1, 1)) == 0.0 and g.measure((0, 1, 1)) == 0.0
+    if exact:
+        assert [float(g.measure_exact(w)) for w in words] == first
+        assert g.measure_exact((0, 1, 1)) == 0
+    # the chain has no factor for an inadmissible move: no check at all
+    assert calls == []
 
 
 def test_one_admissibility_check_per_orbit(monkeypatch):
-    """eigenvalue_via_measure checks rep + rep once; every window of rep^Z is
-    admissible with it, so only a measure's first lookup of a word checks
-    again: a turn per orbit and a first block per block."""
+    """eigenvalue_via_measure checks rep + rep once; the measure checks
+    nothing, so a fresh measure costs no more checks than a warm one."""
     b = builtin("horseshoe")
     g = GibbsMeasure(b.sys, b.potential)
     orbits = periodic_orbits(b.sys, 10)
@@ -243,7 +245,7 @@ def test_one_admissibility_check_per_orbit(monkeypatch):
 
     monkeypatch.setattr(SftSystem, "is_admissible", counted)
     fresh = [realize.eigenvalue_via_measure(g, 0.5, 0.0, o, "u") for o in orbits]
-    assert len(orbits) == 226 and len(calls) == 2 * len(orbits) + 2
+    assert len(orbits) == 226 and calls == [o.representative * 2 for o in orbits]
     calls.clear()
     warm = [realize.eigenvalue_via_measure(g, 0.5, 0.0, o, "s") for o in orbits]
     assert warm == fresh and calls == [o.representative * 2 for o in orbits]

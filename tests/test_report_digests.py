@@ -72,48 +72,48 @@ RECORDED = {
         4,
         {
             "dimension.json": "d2da53932f3b1502b727360f32d55b760a72af83bfd7bdc131d8df87cfcba0c2",
-            "dual.csv": "9aa9c00cb2cdff87783466d3a4b68068c0dd8ef5380ef908f54794685189d041",
-            "eigenvalues.csv": "57c593294662813e5baba368c5e631e5e59f79e1880d34f5a0e23b1a76336396",
-            "gibbs.csv": "77dc2a571fd08f5e0ff58e017fe0b578706aaca7d16df3059f9d831a687ff4b8",
+            "dual.csv": "a01b53dbedb77593c5f06960d84934eea9d5ca56a6db3ab0397ec51a6cf51c2f",
+            "eigenvalues.csv": "eb7c5ebee732bd63b7b5a2506cd250fcac5b5217d535029e2428feb15bf2c040",
+            "gibbs.csv": "cf33d504b91612879f35d248842c13dab88a0e495782b0862020d70a7e7dfb92",
             "livsic.csv": "aaa42c0ce2e9e5b02c8f07e7d046730857d67415b42a61895916efac5702e124",
             "solenoid-check.csv": "5527c2df8dfe8de122f07e02ec4658aeebab98d40d95c436c4fb987166cff376",
-            "summary.json": "92e7796ebf3d9417ad0ffcb4aed03d09405382b0d9bc7139f61ddac3b80edb8b",
+            "summary.json": "9d0034cb12e6442f882d81acf1d312701bcff783d6a1d77c072d728969f2a2a2",
         },
     ),
     ("golden-anosov", "u", "json"): (
         4,
         {
             "dimension.json": "d2da53932f3b1502b727360f32d55b760a72af83bfd7bdc131d8df87cfcba0c2",
-            "dual.json": "5f7a795965006b07768676a9b089dc5419248d2805373f9561dd6244cfc22591",
-            "eigenvalues.json": "610938976c2568ae6bc04f12bb7efe2e69877bcf772500f8f413490bc1a3cddc",
-            "gibbs.json": "adf326fe4ef4e72df2141ad423b50a72bfd537b0a56bb5a407cee10a8579780d",
+            "dual.json": "6b64553cf4135ef24789344444161fdd6a38304be4b2bbf54c7f65e3bf0bd75c",
+            "eigenvalues.json": "b3f31b7f316af035bb7a48f45b87f00c1860827efe5cf47d31f4b5180f12f016",
+            "gibbs.json": "2dec91736206bb6bc9c74b7a0f5479ab8cca1d4d46d30ec3cce5d37368eaac89",
             "livsic.json": "5102acc722a8c9e5a2c0ee3377b8d5820e7c494757888959d19d023913a2c6cc",
             "solenoid-check.json": "9e64f8e378ece22d6c380be83accf8907ef57ed2b8d2d64e10e841caa32b4dd5",
-            "summary.json": "dd6fa869d3d8d013e645c0ad8d6cff03ef52117f817593c63f600a682703725c",
+            "summary.json": "ab87c079ed0934ef5af958f22082e484e87b8dc0d0648cf70ebd427f4c7e10ae",
         },
     ),
     ("golden-anosov", "s", "csv"): (
         4,
         {
             "dimension.json": "4942751530fcd3ee0ace8bd4fd76df0fce4e9b8676e2827900c6e5563c4e7cb6",
-            "dual.csv": "9aa9c00cb2cdff87783466d3a4b68068c0dd8ef5380ef908f54794685189d041",
-            "eigenvalues.csv": "3689ed204bb2fa5889303a25353d54487c1a511eeb0307e9746fd66414f395b6",
-            "gibbs.csv": "77dc2a571fd08f5e0ff58e017fe0b578706aaca7d16df3059f9d831a687ff4b8",
+            "dual.csv": "a01b53dbedb77593c5f06960d84934eea9d5ca56a6db3ab0397ec51a6cf51c2f",
+            "eigenvalues.csv": "9152a9c496c8c2829ce6a8f2de5be5d7ff63f146d94b7820aae5d3e484e6f9d0",
+            "gibbs.csv": "cf33d504b91612879f35d248842c13dab88a0e495782b0862020d70a7e7dfb92",
             "livsic.csv": "aaa42c0ce2e9e5b02c8f07e7d046730857d67415b42a61895916efac5702e124",
             "solenoid-check.csv": "5527c2df8dfe8de122f07e02ec4658aeebab98d40d95c436c4fb987166cff376",
-            "summary.json": "4af7d6dac3c5868454355a21eb783721e721a5e1674d7b245f6204f481cac13a",
+            "summary.json": "e6879d98d29a3bd1380613ae285872463c8fde5fcc477d751592e59f4f0afb8b",
         },
     ),
     ("golden-anosov", "s", "json"): (
         4,
         {
             "dimension.json": "4942751530fcd3ee0ace8bd4fd76df0fce4e9b8676e2827900c6e5563c4e7cb6",
-            "dual.json": "5f7a795965006b07768676a9b089dc5419248d2805373f9561dd6244cfc22591",
-            "eigenvalues.json": "84d15ad812f80bbb93874efcb2b6c1d9bf74483a830ea4900fb8c0de4bc4e8d3",
-            "gibbs.json": "adf326fe4ef4e72df2141ad423b50a72bfd537b0a56bb5a407cee10a8579780d",
+            "dual.json": "6b64553cf4135ef24789344444161fdd6a38304be4b2bbf54c7f65e3bf0bd75c",
+            "eigenvalues.json": "280cd88102231f38f440537f1e0cebc15a0e884232d42046bbe8455c5230c0bc",
+            "gibbs.json": "2dec91736206bb6bc9c74b7a0f5479ab8cca1d4d46d30ec3cce5d37368eaac89",
             "livsic.json": "5102acc722a8c9e5a2c0ee3377b8d5820e7c494757888959d19d023913a2c6cc",
             "solenoid-check.json": "9e64f8e378ece22d6c380be83accf8907ef57ed2b8d2d64e10e841caa32b4dd5",
-            "summary.json": "730ae74862d127ee83345a3734695678d48109ef2a089aa16f0e2ad17da4e8cd",
+            "summary.json": "a35a6a633f24af6918a9777ecb4097ea9a2d1e65c374100797b7ca84e647f698",
         },
     ),
     ("cantor-third", "u", "csv"): (
