@@ -405,7 +405,8 @@ def _task_synthesize(ctx: _Ctx) -> TaskOutcome:
     if not abs(pressure / delta) < MAX_EXPONENT:
         raise ParseError(f"e^(pressure/delta) is out of range at {pressure!r}/{delta!r}")
     synth = synthesize_ratio(ctx.measure, pair, delta, pressure, scn.depth)
-    walk, depth = WindowWalk(synth), scn.depth
+    walk = WindowWalk(synth.sys, synth.side, synth.window_depth, synth.ratio_of)
+    depth = scn.depth
     gaps = lambda state: sum(walk.moves[i][0] for i in walk.children(state))
     # One row per node below the root and per gap above the last depth.  The
     # census reads every state's children, so a bad ratio or an underflowing

@@ -41,6 +41,7 @@ from .sft import (
     json_int,
     opposite,
     pair_value,
+    window_graph,
 )
 
 # A synthesized child mass this close to (or past) the full unit interval
@@ -251,22 +252,23 @@ def validate_cocycle(
     window-determined, so checking mothers up to the stabilization depth
     covers all of them.  Returns (ok, worst margin).
     """
-    boost = _mass_boost(pressure, delta)
-    sys, side = g.sys, cocycle.side
-    inv = 1.0 / delta
-    top = max(cocycle.depth, g.span - 1, 1)
-    worst = math.inf
-    for n in range(top + 1):
-        for m in ([w.symbols for w in enumerate_cylinders(sys, n, side)] if n else [()]):
-            nu_m = 1.0 if not m else g.measure(m)
-            if nu_m <= 0.0:
-                continue
-            mass = 0.0
-            for c in sys.deep_extensions(m, side):
-                child = deep_extend(m, c, side)
-                mass += cocycle.factor(child) * (g.measure(child) / nu_m) ** inv * boost
-            worst = min(worst, 1.0 - mass)
+    masses = _masses(cocycle, g, delta, pressure, max(cocycle.depth, g.span - 1, 1) + 1)
+    worst = min(1.0 - sum(r for _, r in cyls) for _, cyls, _ in masses)
     return (worst > MIN_MASS_MARGIN, worst)
+
+
+def _masses(cocycle: MeasureLengthCocycle, g: GibbsMeasure, delta: float, pressure: float, d: int):
+    """Per state of the cocycle side's window graph at depth d: its window
+    W, its cylinder children C with their masses factor(C) *
+    (nu(C)/nu(W))^(1/delta) * e^(pressure/delta), and its gaps."""
+    boost, inv = _mass_boost(pressure, delta), 1.0 / delta
+    graph = window_graph(g.sys, cocycle.side, d)
+    for m, kids in zip(graph.windows, graph.children):
+        nu_m = g.measure(m)  # the root measures exactly 1
+        if nu_m <= 0.0:
+            continue
+        mass = lambda c: cocycle.factor(c.word) * (g.measure(c.word) / nu_m) ** inv * boost
+        yield m, [(c, mass(c)) for c, j in kids if j >= 0], [c for c, j in kids if j < 0]
 
 
 # Old name of the synthesized table; perfbench/tracer.py counts ratio_of calls through it.
@@ -308,39 +310,22 @@ def synthesize_ratio(
             f"cylinder mass reaches one at some window (margin {margin:.3g}); "
             "nothing is left for the gaps"
         )
-    layout = sys.layout(side)
-    inv = 1.0 / delta
-    boost = _mass_boost(pressure, delta)
     ratios: dict[Seg, float] = {}
-    for n in range(wd):
-        for m in ([w.symbols for w in enumerate_cylinders(sys, n, side)] if n else [()]):
-            nu_m = 1.0 if not m else g.measure(m)
-            if nu_m <= 0.0:
-                continue
-            mass = 0.0
-            gaps: list[Seg] = []
-            for seg in layout.ordered_children(m):
-                if seg.is_gap:
-                    gaps.append(seg)
-                    continue
-                r = pair.cocycle.factor(seg.word) * (g.measure(seg.word) / nu_m) ** inv * boost
-                ratios[seg] = r
-                mass += r
-            left = 1.0 - mass
-            if not gaps:
-                if left > MIN_MASS_MARGIN:
-                    raise InadmissiblePair(
-                        f"no gap under ({_word_str(m)}) to take up leftover mass {left:.3g}"
-                    )
-                continue
-            if left <= 0.0:
+    for m, cyls, gaps in _masses(pair.cocycle, g, delta, pressure, wd):
+        ratios.update(cyls)
+        left = 1.0 - sum(r for _, r in cyls)
+        if not gaps:
+            if left > MIN_MASS_MARGIN:
                 raise InadmissiblePair(
-                    f"children of ({_word_str(m)}) already exceed unit mass"
+                    f"no gap under ({_word_str(m)}) to take up leftover mass {left:.3g}"
                 )
-            weights = [pair.gap_ratios.ratio(s, gaps[0]) for s in gaps]
-            total = sum(weights)
-            for seg, w in zip(gaps, weights):
-                ratios[seg] = left * w / total
+            continue
+        if left <= 0.0:
+            raise InadmissiblePair(f"children of ({_word_str(m)}) already exceed unit mass")
+        weights = [pair.gap_ratios.ratio(s, gaps[0]) for s in gaps]
+        total = sum(weights)
+        for seg, w in zip(gaps, weights):
+            ratios[seg] = left * w / total
     return RatioTable(
         sys=sys,
         side=side,

@@ -1,7 +1,8 @@
 """Equilibrium states of locally constant potentials, via transfer matrices.
 
 A potential of span m assigns a log-weight to every admissible m-word.
-The induced transfer matrix T acts on (max(m,2)-1)-blocks; its
+The induced transfer matrix T acts on (max(m,2)-1)-blocks, the top layer
+of the window graph at depth max(m,2) (see sft.WindowGraph); its
 Perron-Frobenius data (lambda, u, v) gives the pressure, and the measure
 as a Markov chain on the blocks: pi_b = v_b u_b per block and one factor
 f = T[i][j] u[j] / (u[i] lambda) per move i -> j.  A cylinder's measure
@@ -39,7 +40,7 @@ from .sft import (
     json_int,
     mother,
     opposite,
-    window_transitions,
+    window_graph,
 )
 
 POWER_TOL = 1e-14
@@ -359,7 +360,9 @@ class GibbsMeasure:
             if w.symbols not in potential.phi:
                 raise ValueError(f"potential is missing the admissible word {w.symbols}")
 
-        blocks, moves = window_transitions(sys, self.block_len, U_SIDE)
+        # the top layer of the window graph: blocks and their one-symbol moves
+        graph = window_graph(sys, U_SIDE, self.block_len + 1)
+        blocks, moves = graph.windows[graph.top :], graph.top_moves()
         T = np.zeros((len(blocks), len(blocks)))
         for i, j, word in moves:
             T[i, j] = potential.weight_float(word[-span:])

@@ -2,11 +2,12 @@
 
 A ratio source assigns every child descriptor (cylinder or gap) its length
 ratio relative to the mother, window-determined past a stabilization
-depth.  From such a source this module builds finite-depth length tables,
-evaluates the pressure of the weighted window-transition matrix, solves
-the dimension equation by bisection, reads off eigenvalues of periodic
-points both from lengths and from the measure, and checks the eigenvalue
-formula across a matched pair of sides.
+depth: a weight on the edges of the side's window graph (sft.WindowGraph).
+From such a source this module walks finite-depth length tables on that
+graph, evaluates the pressure on its top layer, solves the dimension
+equation by bisection, reads off eigenvalues of periodic points both from
+lengths and from the measure, and checks the eigenvalue formula across a
+matched pair of sides.
 
 A bisection step needs only the sign of the pressure.  Away from the root
 a Collatz-Wielandt bound from a carried positive vector decides it; a full
@@ -43,13 +44,12 @@ from .sft import (
     Symbols,
     Word,
     cyl,
-    deep_window_of,
     drop_deep,
     enumerate_cylinders,
     opposite,
     periodic_orbits,
     stabilized,
-    window_transitions,
+    window_graph,
 )
 
 # Bisection controls for the dimension equation.
@@ -69,9 +69,12 @@ class RatioTable:
     """The window table of a ratio source: child descriptors to length ratios.
 
     `ratios` holds the descriptors whose mother is shallower than
-    `window_depth`; deeper descriptors are served through deep-end window
-    truncation (see sft.stabilized), so a self-similar family needs only
-    its shallow table.  A synthesized table also records the exponent,
+    `window_depth`, the children of the states of the side's window graph
+    at that depth (see sft.WindowGraph); deeper descriptors are served
+    through deep-end window truncation (see sft.stabilized), so a
+    self-similar family needs only its shallow table.  Its walk is on the
+    graph at depth max(window_depth, 2), its pressure matrix on the top
+    layer of that graph.  A synthesized table also records the exponent,
     pressure constant and admissibility margin it was built with, and the
     default `depth` of its realization.
     """
@@ -97,11 +100,12 @@ class RatioTable:
 
     @cached_property
     def _transitions(self) -> tuple[tuple[int, ...], tuple[int, ...], list[float], int]:
-        """The window-transition pattern at `window_depth`: rows, columns and
-        child ratios of the admissible moves, and the number of windows."""
-        windows, moves = window_transitions(self.sys, self.window_depth, self.side)
-        rows, cols, words = zip(*moves)
-        return rows, cols, [self.ratio_of(cyl(w)) for w in words], len(windows)
+        """The pressure pattern, the top layer of the table's walk graph (see
+        WindowWalk): rows, columns and child ratios of its edges, and its
+        number of states."""
+        graph = window_graph(self.sys, self.side, max(self.window_depth, 2))
+        rows, cols, words = zip(*graph.top_moves())
+        return rows, cols, [self.ratio_of(cyl(w)) for w in words], len(graph.windows) - graph.top
 
     @cached_property
     def _cylinder_ratios(self) -> dict[Symbols, float]:
@@ -147,47 +151,40 @@ class TrainTrackRealization:
 
 
 class WindowWalk:
-    """The tree of one side of a ratio source (a RatioTable, or anything
-    with its sys, side, window_depth and ratio_of), walked by window state.
+    """The tree of one side of a ratio source, walked on its window graph at
+    depth max(depth, 2) (see sft.WindowGraph), `depth` being the source's
+    window depth.
 
-    A node's state is its deep-end window of min(len, window_depth - 1)
-    symbols (one at least, below the root): it fixes each child's ratio
-    (see sft.stabilized) and state.  A state's children are read once, into
-    `moves` as (is gap, symbol or gap ordinal, ratio, state or -1), when a
-    mother in that state is first expanded.  That mother is the window
-    itself, so a missing or bad ratio raises as a word-by-word walk would.
+    A node's state is its deep-end window of min(len, max(depth, 2) - 1)
+    symbols: it fixes each child's ratio, weight(child), and state.  A
+    state's children are weighed once, into `moves` as (is gap, symbol or
+    gap ordinal, ratio, state or -1), when a mother in that state is first
+    expanded.  That mother is the window itself, so a missing or bad ratio
+    raises as a word-by-word walk would.
     """
 
-    def __init__(self, ratio) -> None:
-        self.ratio = ratio
+    def __init__(self, sys: SftSystem, side: str, depth: int, weight: Callable) -> None:
+        self.side, self.k, self.weight = side, sys.k, weight
+        self._edges = window_graph(sys, side, max(depth, 2)).children
         self.moves: list[tuple[bool, int, float, int]] = []
-        self.spans: list[Optional[range]] = [None]  # per state, the root 0
-        self._ids: dict[Symbols, int] = {(): 0}
-        self._windows: list[Symbols] = [()]
-        self._ascending: list[list[int]] = [[]]  # cylinder moves by symbol
+        self.spans: list[Optional[range]] = [None] * len(self._edges)  # per state, the root 0
+        self._ascending: list[list[int]] = [[]] * len(self._edges)  # cylinder moves by symbol
 
     def children(self, state: int) -> range:
         """Positions in `moves` of a state's children, in layout order."""
         if self.spans[state] is not None:
             return self.spans[state]
-        m, side, start = self._windows[state], self.ratio.side, len(self.moves)
-        for seg in self.ratio.sys.layout(side).ordered_children(m):
-            r = self.ratio.ratio_of(seg)
+        start, deep = len(self.moves), -1 if self.side == U_SIDE else 0
+        for seg, target in self._edges[state]:
+            r = self.weight(seg)
             if seg.is_gap:
                 if r < 0.0:
-                    raise NegativeGap(f"gap ratio {r!r} under {m}")
+                    raise NegativeGap(f"gap ratio {r!r} under {seg.word}")
                 self.moves.append((True, seg.ordinal, r, -1))
                 continue
             if r < 0.0 or not math.isfinite(r):
                 raise ValueError(f"bad cylinder ratio {r!r} at {seg.word}")
-            window = deep_window_of(seg.word, max(self.ratio.window_depth - 1, 1), side)
-            if window not in self._ids:
-                self._ids[window] = len(self._windows)
-                self._windows.append(window)
-                self.spans.append(None)
-                self._ascending.append([])
-            key = seg.word[-1 if side == U_SIDE else 0]
-            self.moves.append((False, key, r, self._ids[window]))
+            self.moves.append((False, seg.word[deep], r, target))
         span = self.spans[state] = range(start, len(self.moves))
         cyls = [i for i in span if not self.moves[i][0]]
         self._ascending[state] = sorted(cyls, key=lambda i: self.moves[i][1])
@@ -202,12 +199,12 @@ class WindowWalk:
         The children of each level but the last are read before it is
         yielded.
         """
-        u = self.ratio.side == U_SIDE
+        u = self.side == U_SIDE
         level = [(root, 1.0, 0, -1)]
         for _ in range(depth):
             # lexicographic order: on "u" each mother's children by symbol,
             # on "s" a stable bucketing by the new first symbol
-            buckets: list[list[tuple]] = [[] for _ in range(1 if u else self.ratio.sys.k)]
+            buckets: list[list[tuple]] = [[] for _ in range(1 if u else self.k)]
             for label, base, state, _ in level:
                 self.children(state)
                 for i in self._ascending[state]:
@@ -227,10 +224,10 @@ class WindowWalk:
         below the normal float range.  A state's least such length is exact,
         as rounding is monotone: the least base * r is the least base times r.
         """
-        u, out, least = self.ratio.side == U_SIDE, [{0: 1}], {0: 1.0}
+        u, out, least = self.side == U_SIDE, [{0: 1}], {0: 1.0}
         for n in range(depth):
             level: dict[int, int] = {}
-            for key in [None] if u else range(self.ratio.sys.k):
+            for key in [None] if u else range(self.k):
                 for state, count in out[-1].items():
                     self.children(state)
                     for i in self._ascending[state]:
@@ -277,7 +274,7 @@ def lengths_from_ratio(
         depth = ratio.depth if ratio.depth is not None else ratio.window_depth + 4
     lengths: dict[Symbols, float] = {(): 1.0}
     gap_lengths: dict[tuple[Symbols, int], float] = {}
-    walk = WindowWalk(ratio)
+    walk = WindowWalk(sys, side, ratio.window_depth, ratio.ratio_of)
     walk.census(depth)  # raises LengthUnderflow before any length is stored
     extend = (lambda w, a: w + (a,)) if side == U_SIDE else (lambda w, a: (a,) + w)
     for level in islice(walk.levels(depth, (), extend), depth):
@@ -322,11 +319,13 @@ def _transfer(x, delta: float) -> np.ndarray:
 def pressure_of(x, delta: float) -> float:
     """Log spectral radius of the window-transition matrix at exponent delta.
 
-    States are the admissible windows at the source's stabilization depth;
-    the transition weight into the deepened window is the child ratio
-    raised to delta, on the admissible transitions only (0 ** 0 is 1, so
-    the zero pattern stays).  The pattern and its ratios are derived once
-    per table, so a table's `ratios` must not change after its first use.
+    The matrix is the top layer of the source's walk graph: its states are
+    the admissible (d - 1)-windows, d = max(window_depth, 2), and its edge
+    along a d-word carries that word's child ratio raised to delta, on the
+    admissible words only (0 ** 0 is 1, so the zero pattern stays).  The
+    d-window matrix with the same weights is its line graph and has the
+    same spectral radius.  The pattern and its ratios are derived once per
+    table, so a table's `ratios` must not change after its first use.
     """
     lam, _ = perron(_transfer(x, delta))
     return math.log(lam)
@@ -538,12 +537,12 @@ def dual_pair(g: GibbsMeasure, tt: TrainTrackRealization) -> TrainTrackRealizati
     if sys.layout(dside).has_gaps:
         raise GapOnDualSide(f"the {dside!r} side has gap room; duality needs none")
     wd = max(g.span, 2)
-    ratios: dict[Seg, float] = {}
-    for n in range(1, wd + 1):
-        for w in enumerate_cylinders(sys, n, dside):
-            m = drop_deep(w.symbols, dside)
-            nu_m = 1.0 if not m else g.measure(m)
-            ratios[cyl(w.symbols)] = g.measure(w) / nu_m
+    graph = window_graph(sys, dside, wd)
+    ratios = {
+        seg: g.measure(seg.word) / g.measure(m)  # the root measures exactly 1
+        for m, kids in zip(graph.windows, graph.children)
+        for seg, _ in kids
+    }
     lengths: dict[Symbols, float] = {(): 1.0}
     for n in range(1, tt.depth + 1):
         for w in enumerate_cylinders(sys, n, dside):

@@ -21,6 +21,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 from .errors import (
     InadmissibleBoundaryWord,
     MalformedInstance,
+    NotInDomain,
     NotPrimitive,
     TooShallow,
 )
@@ -328,10 +329,11 @@ class SftSystem:
         return self._pred[symbols[0]]
 
     def layout(self, side: str) -> GapLayout:
+        """The side's layout; NotInDomain on a side without one."""
         try:
             return self.layouts[side]
         except KeyError:
-            raise KeyError(f"system has no {side}-side layout") from None
+            raise NotInDomain(f"system has no {side}-side layout") from None
 
     def has_layout(self, side: str) -> bool:
         return side in self.layouts
@@ -460,23 +462,43 @@ def enumerate_cylinders(sys: SftSystem, n: int, side: str) -> list[Word]:
     return [Word(w, side) for w in words]
 
 
-def window_transitions(
-    sys: SftSystem, length: int, side: str
-) -> tuple[list[Symbols], list[tuple[int, int, Symbols]]]:
-    """The admissible `length`-windows on `side` and their one-symbol moves.
+@dataclass(frozen=True)
+class WindowGraph:
+    """The higher-block presentation of one side at depth d >= 2 (Lind and
+    Marcus, 1995, 2.3), the one graph that every window-determined object
+    of the package weighs.  Its states are deep-end windows: `windows`
+    lists the root (), then the admissible windows of 1 to d - 1 symbols,
+    by length, each length in enumerate_cylinders order.  `children` lists
+    per state its children in layout order, gaps included (ascending deep
+    extensions on a side without a layout), each with its target: the state
+    of a cylinder child's deep-end window of at most d - 1 symbols, -1 for
+    a gap.  The states from `top` on, of d - 1 symbols, and their cylinder
+    edges, the admissible d-words, form the top layer, a closed graph."""
 
-    Windows come in enumerate_cylinders order.  Each move (i, j, word)
-    extends window i by one admissible symbol at its deep end; `word` is
-    the extended word and j the index of its deep-end window.
-    """
-    windows = [w.symbols for w in enumerate_cylinders(sys, length, side)]
-    index = {w: i for i, w in enumerate(windows)}
-    moves = []
-    for i, w in enumerate(windows):
-        for c in sys.deep_extensions(w, side):
-            word = deep_extend(w, c, side)
-            moves.append((i, index[deep_window_of(word, length, side)], word))
-    return windows, moves
+    windows: list[Symbols]
+    children: list[list[tuple[Seg, int]]]
+    top: int
+
+    def top_moves(self) -> list[tuple[int, int, Symbols]]:
+        """The top layer's edges as (source, target, d-word), states counted from `top`."""
+        t, kids = self.top, self.children
+        return [(i - t, j - t, s.word) for i in range(t, len(kids)) for s, j in kids[i] if j >= 0]
+
+
+def window_graph(sys: SftSystem, side: str, d: int) -> WindowGraph:
+    """The window graph of `side` at depth d, built anew on every call."""
+    if d < 2:
+        raise ValueError(f"a window graph needs depth at least 2, got {d}")
+    windows: list[Symbols] = [()]
+    for n in range(1, d):
+        top = len(windows)
+        windows += [w.symbols for w in enumerate_cylinders(sys, n, side)]
+    index, layout = {w: i for i, w in enumerate(windows)}, sys.layouts.get(side)
+    kids = lambda w: layout.ordered_children(w) if layout else [
+        Seg("cyl", deep_extend(w, c, side)) for c in sys.deep_extensions(w, side)
+    ]
+    target = lambda s: -1 if s.is_gap else index[deep_window_of(s.word, d - 1, side)]
+    return WindowGraph(windows, [[(s, target(s)) for s in kids(w)] for w in windows], top)
 
 
 def mother(w: Word, i: int = 1) -> Word:

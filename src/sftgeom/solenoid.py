@@ -32,16 +32,15 @@ from .sft import (
     SftSystem,
     Symbols,
     Word,
-    deep_extend,
     deep_window_of,
     drop_deep,
-    enumerate_cylinders,
     json_int,
     opposite,
     pair_value,
     seg_from_json,
     seg_to_json,
     stabilized,
+    window_graph,
 )
 
 PairKey = tuple[Seg, Seg]
@@ -158,26 +157,15 @@ def _row_leaf_pairs(row: list[Seg], has_gaps: bool) -> list[PairKey]:
     return [(row[i], row[j]) for i, j in zip(leaves, leaves[1:]) if j - i - 1 == need]
 
 
-def _agnostic_pairs(sys: SftSystem, side: str, depth: int) -> list[PairKey]:
-    out: list[PairKey] = []
-    mothers = [w.symbols for w in enumerate_cylinders(sys, depth - 1, side)] if depth > 1 else [()]
-    for mw in mothers:
-        kids = [Seg("cyl", deep_extend(mw, a, side)) for a in sys.deep_extensions(mw, side)]
-        out.extend(combinations(kids, 2))
-    return out
-
-
 def _tabulated(
-    side: str, kind: str, stab: int, pairs_at, value, agnostic: bool = False
+    side: str, kind: str, stab: int, pairs, value, agnostic: bool = False
 ) -> SolenoidSpec:
-    """The spec holding value(a, b) for every pair of pairs_at(depth), depth
-    1..stab, one direction per pair, with its value range and Hoelder
-    constant."""
+    """The spec holding value(a, b) for every pair of `pairs`, one direction
+    per pair, with its value range and Hoelder constant."""
     values: dict[PairKey, float] = {}
-    for d in range(1, stab + 1):
-        for a, b in pairs_at(d):
-            if (a, b) not in values and (b, a) not in values:
-                values[(a, b)] = value(a, b)
+    for a, b in pairs:
+        if (a, b) not in values and (b, a) not in values:
+            values[(a, b)] = value(a, b)
     spread = list(values.values()) + [1.0 / v for v in values.values()]
     return SolenoidSpec(
         side=side,
@@ -198,21 +186,25 @@ def from_gibbs(g: GibbsMeasure, side: str) -> SolenoidSpec:
     Without a registered layout every sibling pair is admitted and the
     spec is flagged boundary-agnostic.
     """
-    sys = g.sys
+    sys, stab = g.sys, max(g.span, 2)
     agnostic = not sys.has_layout(side)
-
-    def pairs_at(d: int) -> list[PairKey]:
-        if agnostic:
-            return _agnostic_pairs(sys, side, d)
+    if agnostic:  # the sibling pairs of every mother shallower than stab
+        kids = window_graph(sys, side, stab).children
+        pairs = [p for row in kids for p in combinations([seg for seg, _ in row], 2)]
+    else:
         layout = sys.layout(side)
-        return _row_leaf_pairs(_expanded_row(layout, (), d), layout.has_gaps)
+        pairs = [
+            p
+            for d in range(1, stab + 1)
+            for p in _row_leaf_pairs(_expanded_row(layout, (), d), layout.has_gaps)
+        ]
 
     def value(a: Seg, b: Seg) -> float:
         if g.exact:
             return float(g.measure_exact(a.word) / g.measure_exact(b.word))
         return g.measure(a.word) / g.measure(b.word)
 
-    return _tabulated(side, "leaf-leaf", max(g.span, 2), pairs_at, value, agnostic)
+    return _tabulated(side, "leaf-leaf", stab, pairs, value, agnostic)
 
 
 def from_realization(tt) -> SolenoidSpec:
@@ -223,17 +215,16 @@ def from_realization(tt) -> SolenoidSpec:
     which covers sibling chains as well as pairs that touch across a
     mother boundary.
     """
-    layout = tt.sys.layout(tt.side)
-
-    def pairs_at(d: int) -> list[PairKey]:
+    layout, stab = tt.sys.layout(tt.side), max(tt.window_depth, 2)
+    pairs: list[PairKey] = []
+    for d in range(1, stab + 1):
         row = _expanded_row(layout, (), d)
-        return list(zip(row, row[1:])) + _row_leaf_pairs(row, layout.has_gaps)
-
+        pairs += list(zip(row, row[1:])) + _row_leaf_pairs(row, layout.has_gaps)
     return _tabulated(
         tt.side,
         "leaf-gap" if layout.has_gaps else "leaf-leaf",
-        max(tt.window_depth, 2),
-        pairs_at,
+        stab,
+        pairs,
         lambda a, b: tt.length_of(a) / tt.length_of(b),
     )
 
@@ -452,35 +443,33 @@ def cylinder_cylinder_rows(
 # equivalence checks
 
 
-class _Source(NamedTuple):
-    """A ratio source for realize.WindowWalk, read only at the window
-    states a walk reaches: primary cylinders 1, gaps 0 (the checks compare
-    cylinders), any other cylinder child_over_mother(mother word, child)."""
-
-    sys: SftSystem
-    side: str
-    window_depth: int
-    child_over_mother: Callable[[Symbols, Seg], float]
-
-    def ratio_of(self, seg: Seg) -> float:
-        if seg.is_gap:
-            return 0.0
-        mw = drop_deep(seg.word, self.side)
-        return self.child_over_mother(mw, seg) if mw else 1.0
-
-
-def _size_source(spec: SolenoidSpec, sys: SftSystem) -> _Source:
+def _size_source(spec: SolenoidSpec, sys: SftSystem) -> tuple[int, Callable]:
     """size(child)/size(mother) under the spec, at its stabilization depth."""
     layout = sys.layout(spec.side)
-    size = lambda m, c: 1.0 / _mother_over_child(spec, layout, m, c)
-    return _Source(sys, spec.side, spec.stabilization, size)
+    return spec.stabilization, lambda m, c: 1.0 / _mother_over_child(spec, layout, m, c)
 
 
-def _size_levels(sources: list[_Source], depth: int):
+def _size_levels(sys: SftSystem, side: str, sources: list[tuple[int, Callable]], depth: int):
     """The words of length 2..depth, one level at a time in
     enumerate_cylinders order, each as a tuple of its size relative to its
-    primary cylinder under every source."""
-    walks = [WindowWalk(src).levels(depth, None, lambda label, a: None) for src in sources]
+    primary cylinder under every source.  A source is a pair (window depth,
+    child_over_mother(mother word, child)), walked by window state
+    (realize.WindowWalk) and read only at the states the walk reaches:
+    primary cylinders 1, gaps 0 (the checks compare cylinders), any other
+    cylinder child_over_mother."""
+
+    def weight(child_over_mother):
+        def ratio(seg: Seg) -> float:
+            if seg.is_gap:
+                return 0.0
+            mw = drop_deep(seg.word, side)
+            return child_over_mother(mw, seg) if mw else 1.0
+        return ratio
+
+    walks = [
+        WindowWalk(sys, side, wd, weight(f)).levels(depth, None, lambda label, a: None)
+        for wd, f in sources
+    ]
     for levels in islice(zip(*walks), 2, None):
         yield [tuple(node[1] for node in nodes) for nodes in zip(*levels)]
 
@@ -501,7 +490,7 @@ def bounded_equivalence(
     sources = [_size_source(spec, sys) for spec in (spec1, spec2)]
     per_depth = [
         max(abs(math.log(s1) - math.log(s2)) for s1, s2 in level)
-        for level in _size_levels(sources, n_max + 1)
+        for level in _size_levels(sys, spec1.side, sources, n_max + 1)
     ]
     c_full = max(per_depth)
     c_earlier = max(per_depth[: n_max - 2])
@@ -522,9 +511,9 @@ def bounded_solenoid_class_check(
     # extended_scaling against the pivot leaf, one window conditional per
     # step; a conditional reads the child's g.block_len + 1 deepest symbols
     cond = lambda m, c: g.conditional(c.word, side)
-    sources = [_size_source(spec, g.sys), _Source(g.sys, side, g.block_len + 1, cond)]
+    sources = [_size_source(spec, g.sys), (g.block_len + 1, cond)]
     worst = 0.0
-    for n, level in enumerate(_size_levels(sources, n_max), start=2):
+    for n, level in enumerate(_size_levels(g.sys, side, sources, n_max), start=2):
         for s, rho in level:
             val = delta * math.log(s) - math.log(rho) - (n - 1) * pressure
             worst = max(worst, abs(val))

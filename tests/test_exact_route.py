@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 import sftgeom.gibbs as gibbs
 from sftgeom.builtins import BUILTIN_NAMES, builtin
 from sftgeom.gibbs import GibbsMeasure, Potential
-from sftgeom.sft import U_SIDE, enumerate_cylinders, window_transitions
+from sftgeom.sft import U_SIDE, enumerate_cylinders
+from test_merged_paths import window_transitions
 from test_window_table import _draw_gapped_system
 
 EXACT_BUILTINS = [name for name in BUILTIN_NAMES if builtin(name).measure.exact]

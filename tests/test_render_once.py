@@ -41,7 +41,8 @@ REFUSED = {("golden-anosov", "u"), ("golden-anosov", "s"), ("da-attractor-toy", 
 def reference_rows(measure, pair, delta, pressure, depth):
     """The synthesize report as raw values: each node below the root, then
     the gaps among its children, level by level."""
-    walk = WindowWalk(synthesize_ratio(measure, pair, delta, pressure, depth))
+    synth = synthesize_ratio(measure, pair, delta, pressure, depth)
+    walk = WindowWalk(synth.sys, synth.side, synth.window_depth, synth.ratio_of)
     u = pair.side == U_SIDE
     dotted = lambda w, a: (f"{w}.{a}" if u else f"{a}.{w}") if w else str(a)
     rows = []
@@ -197,7 +198,8 @@ def test_synthesize_renders_no_value_per_row(tmp_path, monkeypatch, name, side):
     report."""
     argv = [name, "synthesize", "--side", side]
     calls = {d: _fmt_calls(tmp_path, monkeypatch, argv, d) for d in (8, 12)}
-    walk = WindowWalk(synthesize_ratio(*builtin_inputs(name, side), 8))
+    synth = synthesize_ratio(*builtin_inputs(name, side), 8)
+    walk = WindowWalk(synth.sys, synth.side, synth.window_depth, synth.ratio_of)
     walk.census(8)
     assert calls[8] == calls[12] <= len(walk.moves) + 3
 

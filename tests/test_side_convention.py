@@ -45,7 +45,6 @@ from sftgeom.solenoid import (
     ConditionRow,
     _size_levels,
     _size_source,
-    _Source,
     bounded_solenoid_class_check,
     from_gibbs,
 )
@@ -138,9 +137,9 @@ def ref_class_check(spec, g, delta, pressure, n_max):
         if side == U_SIDE
         else (lambda m, c: ref_prepend_conditional(g, c.word[0], m))
     )
-    sources = [_size_source(spec, g.sys), _Source(g.sys, side, g.block_len + 1, cond)]
+    sources = [_size_source(spec, g.sys), (g.block_len + 1, cond)]
     worst = 0.0
-    for n, level in enumerate(_size_levels(sources, n_max), start=2):
+    for n, level in enumerate(_size_levels(g.sys, side, sources, n_max), start=2):
         for s, rho in level:
             val = delta * math.log(s) - math.log(rho) - (n - 1) * pressure
             worst = max(worst, abs(val))

@@ -19,6 +19,7 @@ from sftgeom.gibbs import (
     potential_from_table,
     uniform_potential,
 )
+from sftgeom.realize import RatioTable
 from sftgeom.sft import (
     BoundaryData,
     BoundaryInstance,
@@ -201,6 +202,24 @@ def test_from_gibbs_markov_table(markov):
     assert abs(prod - 1.0) < 1e-15
     with pytest.raises(MissingPairValue):
         spec.sigma(cyl((0,)), cyl((0, 1)))
+
+
+def test_a_side_without_a_layout_raises_not_in_domain(markov):
+    """A boundary-agnostic spec has no layout to walk: the bounded checks,
+    extend_scaling and a table's children_sum on that side raise
+    NotInDomain, not a bare KeyError."""
+    spec = from_gibbs(markov, "u")
+    assert spec.boundary_agnostic
+    table = RatioTable(FULL2, "u", 1, {cyl((0,)): 0.5, cyl((1,)): 0.5})
+    calls = [
+        lambda: bounded_equivalence(spec, spec, FULL2, 4),
+        lambda: bounded_solenoid_class_check(spec, markov, 1.0, 0.0, 4),
+        lambda: extend_scaling(spec, FULL2, Word((0, 1), "u"), Word((0,), "u")),
+        lambda: table.children_sum(()),
+    ]
+    for call in calls:
+        with pytest.raises(NotInDomain, match="no u-side layout"):
+            call()
 
 
 def test_from_gibbs_golden_depth_matters(golden):

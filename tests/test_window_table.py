@@ -122,7 +122,8 @@ def test_window_ratios_match_the_per_word_formula_markov(horse, rows):
 def test_walk_levels_follow_enumeration_order(toy):
     for side in ("u", "s"):
         layout = toy.sys.layout(side)
-        walk = WindowWalk(toy.side(side).realization.ratio)
+        table = toy.side(side).realization.ratio
+        walk = WindowWalk(toy.sys, side, table.window_depth, table.ratio_of)
         extend = lambda w, a: deep_extend(w, a, side)
         for n, level in enumerate(walk.levels(5, (), extend)):
             want = [()] if n == 0 else [w.symbols for w in enumerate_cylinders(toy.sys, n, side)]
